@@ -12,7 +12,6 @@ from .econ import (
     Recruitment,
     Regime,
     binding_harvest,
-    individual_quotas,
     profit,
     realized_unmanaged_harvest,
     recruitment,

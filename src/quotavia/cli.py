@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from .econ import Regime
-from .engine import simulate, summarize
+from .engine import simulate, summarize, sweep
 from .scenario import ConfigError, ScenarioConfig
 from .verification import DEFAULT_SEED, run_all
 from .viability import check_viability_domain, critical_levels, phase_rows
@@ -40,8 +39,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, (Regime,)):
-        return value.value
     if hasattr(value, "value"):
         return str(value.value)
     return str(value)
@@ -184,6 +181,14 @@ def _parse_axes(spec: str) -> list[tuple[str, list]]:
     return axes
 
 
+def _sweep_row(cell) -> list:
+    if cell.error is not None:  # the row names the type; CellResult keeps the message
+        return [*cell.values, f"error: {cell.error.partition(':')[0]}", "", "", ""]
+    return [*cell.values, "violated" if cell.violated else "viable",
+            cell.first_violation if cell.first_violation is not None else "",
+            cell.terminal_stock, cell.mean_harvest]
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load(args.config)
     axes = _parse_axes(args.axes)
@@ -194,25 +199,14 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--axes: {cells} cells exceeds the {_MAX_SWEEP_CELLS} limit")
     out_dir = _out_dir(args)
 
-    # validate axis fields up front: an unknown field is a usage error
+    # validate axis fields and first values up front: a bad one is a config error
     cfg.with_overrides({field: values[0] for field, values in axes})
 
-    import itertools
-    fields = [field for field, _ in axes]
-    rows = []
-    for combo in itertools.product(*[values for _, values in axes]) if axes else [()]:
-        cell_cfg = cfg.with_overrides(dict(zip(fields, combo)))
-        try:
-            record = simulate(*cell_cfg.build())
-            cell = summarize(record, tuple(combo))
-            rows.append([*combo,
-                         "violated" if cell.violated else "viable",
-                         cell.first_violation if cell.first_violation is not None else "",
-                         cell.terminal_stock, cell.mean_harvest])
-        except Exception as exc:  # recorded per cell, sweep continues
-            rows.append([*combo, f"error: {type(exc).__name__}", "", "", ""])
+    rows = [_sweep_row(cell)
+            for cell in sweep(lambda overrides: cfg.with_overrides(overrides).build(), axes)]
     _write_csv(os.path.join(out_dir, "sweep.csv"),
-               [*fields, "verdict", "first_violation_time", "terminal_x", "mean_h"],
+               [*(field for field, _ in axes), "verdict", "first_violation_time",
+                "terminal_x", "mean_h"],
                rows)
     print(f"wrote {len(rows)} sweep cells")
     return 0

@@ -6,13 +6,18 @@ quotas, trading harvest profit against the political cost of pushing the
 agreed total above the recommendation.  Everything in this module is a
 closed-form evaluation of that game's unique Nash equilibrium under
 non-negative quotas, plus the elementary ingredients (recruitment, profit)
-it is built from.
+it is built from.  The equilibrium has one scalar solve (``_nash_point``,
+used in the simulation loop) and one array form of it (``harvest_curve``,
+used on large grids).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -25,17 +30,15 @@ __all__ = [
     "unmanaged_harvest",
     "realized_unmanaged_harvest",
     "binding_harvest",
-    "individual_quotas",
     "total_harvest",
     "harvest_level",
+    "harvest_curve",
     "profit",
 ]
 
 # Absolute tolerance for regime-boundary comparisons on harvest quantities.
 # Exact equality at a boundary resolves to the non-binding branch.
 BOUNDARY_TOL = 1e-12
-
-_SHAPE_GRID = 256
 
 
 class Regime(Enum):
@@ -103,12 +106,10 @@ class DerivedCoeffs:
 
 @dataclass(frozen=True)
 class Recruitment:
-    """Hump-shaped stock growth, logistic by default.
+    """Logistic stock growth ``growth * x * (1 - x / capacity)``.
 
-    ``rate`` may be overridden with another growth law; the required shape
-    (zero at the origin, strictly rising up to a single peak at
-    ``peak_stock``, strictly falling beyond it) is checked numerically on a
-    256-point grid at construction so a wrong shape fails fast.
+    Zero at no stock and at ``capacity``, largest at ``peak_stock =
+    capacity / 2``; the critical-level bisection relies on that shape.
     """
 
     growth: float
@@ -119,7 +120,12 @@ class Recruitment:
             raise ValueError("growth must be positive")
         if not self.capacity > 0.0:
             raise ValueError("capacity must be positive")
-        self._validate_shape()
+        # the hump must be representable: a peak that is a normal float, and
+        # no overflow of growth * x for stocks up to capacity
+        if not (self.peak_rate >= sys.float_info.min
+                and self.growth * self.capacity <= sys.float_info.max):
+            raise ValueError("peak recruitment must be a normal float "
+                             "and growth * capacity finite")
 
     @property
     def peak_stock(self) -> float:
@@ -133,22 +139,6 @@ class Recruitment:
 
     def rate(self, x: float) -> float:
         return self.growth * x * (1.0 - x / self.capacity)
-
-    def _validate_shape(self) -> None:
-        scale = max(abs(self.rate(self.peak_stock)), 1e-300)
-        if abs(self.rate(0.0)) > 1e-9 * scale:
-            raise ValueError("recruitment must vanish at zero stock")
-        peak = self.peak_stock
-        xs = [self.capacity * (i + 1) / _SHAPE_GRID for i in range(_SHAPE_GRID)]
-        prev_x, prev_v = 0.0, 0.0
-        for x, v in zip(xs, (self.rate(x) for x in xs)):
-            if x <= peak and not v > 0.0:
-                raise ValueError("recruitment must be positive below the peak")
-            if x <= peak and not v > prev_v:
-                raise ValueError("recruitment must increase below the peak")
-            if prev_x >= peak and not v < prev_v:
-                raise ValueError("recruitment must decrease above the peak")
-            prev_x, prev_v = x, v
 
 
 @dataclass(frozen=True)
@@ -269,7 +259,10 @@ def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, f
 def _deviation_regime(h: float, free: float) -> Regime:
     if h > BOUNDARY_TOL:
         return Regime.BINDING
-    # Retained defensively: unreachable for r >= 0 under this cost model.
+    # Restricted shutdown: free fishing would land a catch above the
+    # tolerance, but deviation costs pull the agreed total below it.  Rare,
+    # yet reachable: EconParams(1, 1, 1, 1, 1e6, 1e6, 1) at x = 1 + 4e-12,
+    # r = 0 gives free = 2e-12 and h = 2e-18.
     return Regime.SHUTDOWN_RESTRICTED if free > BOUNDARY_TOL else Regime.SHUTDOWN_UNPROFITABLE
 
 
@@ -292,12 +285,46 @@ def harvest_level(params: EconParams, x: float, r: float) -> float:
     return _nash_point(params, x, r)[2]
 
 
-def individual_quotas(params: EconParams, x: float, r: float) -> tuple[float, float]:
-    """Equilibrium quota pair; quotas sum to the resolved total harvest."""
-    _require_stock(x)
-    _require_recommendation(r)
-    q1, q2, _, _ = _nash_point(params, x, r)
-    return q1, q2
+def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
+    """Negotiated total harvest on the (x, r) grid: the array form of
+    :func:`_nash_point`.
+
+    Runs the same branches with the same operations, so every grid point
+    equals the scalar solve bit for bit.  The scalar form stays for
+    point-by-point loops, where one numpy call per point would cost
+    tens of times more than the solve itself.
+    """
+    X = np.asarray(x_values, dtype=float).reshape(-1, 1)
+    R = np.asarray(r_values, dtype=float).reshape(1, -1)
+    p = params.price
+    b1, b2 = params.beta_1, params.beta_2
+    k1, k2 = params.kappa_1, params.kappa_2
+    gain1 = p * X - params.alpha_1
+    gain2 = p * X - params.alpha_2
+    opt1 = gain1 / (2.0 * b1)
+    opt2 = gain2 / (2.0 * b2)
+    free = np.maximum(opt1, 0.0) + np.maximum(opt2, 0.0)
+    w = b1 * k2 + b2 * k1
+    shape = (X.size, R.size)
+    if w == 0.0:
+        return np.broadcast_to(free, shape).copy()
+
+    nondev = free <= R + BOUNDARY_TOL
+    wx = w * X
+    hb = (0.5 * (b2 * gain1 + b1 * gain2) + wx * R) / (b1 * b2 + wx)
+    excess = hb - R
+    q1i = opt1 - k1 * X * excess / b1
+    q2i = opt2 - k2 * X * excess / b2
+    both = (opt1 >= 0.0) & (opt2 >= 0.0)
+    interior = ~nondev & both & (q1i >= 0.0) & (q2i >= 0.0)
+    solo1 = ~nondev & ~interior & ((opt2 < 0.0) | (both & (q2i < 0.0)))
+    solo2 = ~nondev & ~interior & ((opt1 < 0.0) | (both & (q1i < 0.0)))
+    q1s = np.maximum((gain1 + 2.0 * k1 * X * R) / (2.0 * (b1 + k1 * X)), 0.0)
+    q2s = np.maximum((gain2 + 2.0 * k2 * X * R) / (2.0 * (b2 + k2 * X)), 0.0)
+    return np.where(nondev, np.broadcast_to(free, shape),
+                    np.where(interior, hb,
+                             np.where(solo1, q1s,
+                                      np.where(solo2, q2s, 0.0))))
 
 
 def profit(params: EconParams, group: int, q_own: float, q_other: float,

@@ -173,11 +173,7 @@ def step(x: float, h: float, rec: Recruitment, dt: float) -> float:
         raise ValueError("harvest must be non-negative")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    k1 = rec.rate(x) - h
-    k2 = rec.rate(x + 0.5 * dt * k1) - h
-    k3 = rec.rate(x + 0.5 * dt * k2) - h
-    k4 = rec.rate(x + dt * k3) - h
-    return max(x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, 0.0)
+    return max(_rk4(lambda s: rec.rate(s) - h, x, dt), 0.0)
 
 
 def _closed_loop_rhs(params: EconParams, rec: Recruitment, r: float) -> Callable[[float], float]:

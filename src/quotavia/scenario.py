@@ -199,7 +199,8 @@ class ScenarioConfig:
     def with_overrides(self, overrides: dict) -> "ScenarioConfig":
         """New config with dotted ``section.key`` fields replaced.
 
-        Values may be strings (parsed like file input) or already typed.
+        Values may be strings (parsed like file input) or already typed.  An
+        invalid value raises :class:`ConfigError` naming the field.
         """
         cfg = self
         for path, value in overrides.items():
@@ -211,7 +212,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{path!r}: unknown field")
             if isinstance(value, str):
                 value = _parse_value(section, key, value)
-            cfg = cfg._with_field(section, key, value)
+            try:
+                cfg = cfg._with_field(section, key, value)
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
         return cfg
 
     def _with_field(self, section: str, key: str, value) -> "ScenarioConfig":

@@ -20,6 +20,7 @@ from .econ import (
     EconParams,
     Recruitment,
     binding_harvest,
+    harvest_curve,
     harvest_level,
     profit,
     realized_unmanaged_harvest,
@@ -31,6 +32,7 @@ from .viability import (
     ViabilityBounds,
     catch_within_recruitment_flags,
     check_viability_domain,
+    recommendation_ceiling,
     recommendation_floor,
     recruitment_meets_floor_flags,
 )
@@ -38,7 +40,6 @@ from .viability import (
 __all__ = [
     "DEFAULT_SEED",
     "SuiteReport",
-    "harvest_curve",
     "viability_existence_search",
     "nash_agreement_suite",
     "viability_domain_suite",
@@ -104,16 +105,6 @@ def _interior_params(rng: np.random.Generator, x: float,
     return None
 
 
-def _logistic_rate(growth: float, capacity: float, x: float) -> float:
-    return growth * x * (1.0 - x / capacity)
-
-
-def _ceiling_from_rate(params: EconParams, rate: float, x: float) -> float:
-    c = params.coeffs()
-    wx = c.deviation_cross * x
-    return (rate * (wx + c.beta_product) + c.cost_cross) / wx - c.mean_beta * params.price / c.deviation_cross
-
-
 def _interior_negotiation(params: EconParams, x: float) -> bool:
     """True when the equilibrium at ``x`` keeps both groups active for every
     recommendation, i.e. the quota clamp never engages.  The threshold
@@ -125,55 +116,14 @@ def _interior_negotiation(params: EconParams, x: float) -> bool:
         return False
     if opt1 + opt2 <= 0.0:
         return True
-    c = params.coeffs()
-    if c.deviation_cross == 0.0:
+    if params.coeffs().deviation_cross == 0.0:
         return True
-    wx = c.deviation_cross * x
-    h0 = (c.mean_beta * params.price * x - c.cost_cross) / (c.beta_product + wx)
+    h0 = binding_harvest(params, x, 0.0)
     if h0 <= 0.0:
         return True
     # deviation pressure is largest at r = 0
     return (opt1 - params.kappa_1 * x * h0 / params.beta_1 >= 0.0
             and opt2 - params.kappa_2 * x * h0 / params.beta_2 >= 0.0)
-
-
-def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
-    """Vectorized negotiated total harvest on the (x, r) grid.
-
-    Mirrors the scalar solve branch for branch; exercised against it in the
-    tests so the brute-force searches can run on large grids.
-    """
-    X = np.asarray(x_values, dtype=float).reshape(-1, 1)
-    R = np.asarray(r_values, dtype=float).reshape(1, -1)
-    p = params.price
-    b1, b2 = params.beta_1, params.beta_2
-    k1, k2 = params.kappa_1, params.kappa_2
-    gain1 = p * X - params.alpha_1
-    gain2 = p * X - params.alpha_2
-    opt1 = gain1 / (2.0 * b1)
-    opt2 = gain2 / (2.0 * b2)
-    free = np.maximum(opt1, 0.0) + np.maximum(opt2, 0.0)
-    w = b1 * k2 + b2 * k1
-    shape = (X.size, R.size)
-    if w == 0.0:
-        return np.broadcast_to(free, shape).copy()
-
-    nondev = free <= R + BOUNDARY_TOL
-    wx = w * X
-    hb = (0.5 * (b2 * gain1 + b1 * gain2) + wx * R) / (b1 * b2 + wx)
-    excess = hb - R
-    q1i = opt1 - k1 * X * excess / b1
-    q2i = opt2 - k2 * X * excess / b2
-    both = (opt1 >= 0.0) & (opt2 >= 0.0)
-    interior = ~nondev & both & (q1i >= 0.0) & (q2i >= 0.0)
-    solo1 = ~nondev & ~interior & ((opt2 < 0.0) | (both & (q2i < 0.0)))
-    solo2 = ~nondev & ~interior & ((opt1 < 0.0) | (both & (q1i < 0.0)))
-    q1s = np.maximum((gain1 + 2.0 * k1 * X * R) / (2.0 * (b1 + k1 * X)), 0.0)
-    q2s = np.maximum((gain2 + 2.0 * k2 * X * R) / (2.0 * (b2 + k2 * X)), 0.0)
-    return np.where(nondev, np.broadcast_to(free, shape),
-                    np.where(interior, hb,
-                             np.where(solo1, q1s,
-                                      np.where(solo2, q2s, 0.0))))
 
 
 def viability_existence_search(params: EconParams, rec: Recruitment,
@@ -271,12 +221,11 @@ def viability_domain_suite(seed: int = DEFAULT_SEED,
         params = _interior_params(rng, x_lo)
         if params is None:
             continue
-        rate_lo = _logistic_rate(growth, capacity, x_lo)
-        h_lo = rate_lo * float(_log_uniform(rng, 0.2, 1.4))
+        rec = Recruitment(growth, capacity)
+        h_lo = rec.rate(x_lo) * float(_log_uniform(rng, 0.2, 1.4))
         if h_lo <= 0.0:
             continue
         bounds = ViabilityBounds(stock_floor=x_lo, harvest_floor=h_lo)
-        rec = Recruitment(growth, capacity)
         verdict = check_viability_domain(params, rec, bounds)
         margins = (verdict.margin_floor_attainable, verdict.margin_recruitment,
                    verdict.margin_admissible)
@@ -306,26 +255,25 @@ def floor_biconditional_suite(seed: int = DEFAULT_SEED,
         params = _interior_params(rng, x_lo)
         if params is None:
             continue
-        rate_lo = _logistic_rate(growth, capacity, x_lo)
-        h_lo = rate_lo * float(rng.uniform(0.1, 0.95))
+        rec = Recruitment(growth, capacity)
+        h_lo = rec.rate(x_lo) * float(rng.uniform(0.1, 0.95))
         if h_lo <= 0.0:
             continue
         bounds = ViabilityBounds(stock_floor=x_lo, harvest_floor=h_lo)
         floor_lo = recommendation_floor(params, bounds, x_lo)
         viable = (unmanaged_harvest(params, x_lo) >= floor_lo
-                  and max(floor_lo, _ceiling_from_rate(params, rate_lo, x_lo)) >= 0.0)
+                  and max(floor_lo, recommendation_ceiling(params, rec, x_lo)) >= 0.0)
         if not viable:
             continue
         x = float(rng.uniform(x_lo, capacity))
         if not _interior_negotiation(params, x):
             continue
-        rate_x = _logistic_rate(growth, capacity, x)
+        rate_x = rec.rate(x)
         if abs(rate_x - recommendation_floor(params, bounds, x)) < 1e-9:
             continue
         if abs(harvest_level(params, x, max(rate_x, 0.0)) - h_lo) < 1e-9:
             continue
         accepted += 1
-        rec = Recruitment(growth, capacity)
         left, right = recruitment_meets_floor_flags(params, rec, bounds, x)
         failures += left != right
     return SuiteReport("floor_biconditional", accepted, failures, 0.0,
@@ -347,10 +295,11 @@ def catch_cap_biconditional_suite(seed: int = DEFAULT_SEED,
         params = _biased_params(rng, x)
         if params is None:
             continue
-        if abs(_logistic_rate(growth, capacity, x) - unmanaged_harvest(params, x)) < 1e-9:
+        rec = Recruitment(growth, capacity)
+        if abs(rec.rate(x) - unmanaged_harvest(params, x)) < 1e-9:
             continue
         accepted += 1
-        left, right = catch_within_recruitment_flags(params, Recruitment(growth, capacity), x)
+        left, right = catch_within_recruitment_flags(params, rec, x)
         failures += left != right
     return SuiteReport("catch_cap_biconditional", accepted, failures, 0.0,
                        time.perf_counter() - start)

@@ -10,14 +10,13 @@ from quotavia import (
     Recruitment,
     Regime,
     binding_harvest,
-    individual_quotas,
     profit,
     realized_unmanaged_harvest,
     recruitment,
     total_harvest,
     unmanaged_harvest,
 )
-from quotavia.econ import harvest_level
+from quotavia.econ import _nash_point, harvest_level
 
 
 def test_econ_params_validation():
@@ -59,13 +58,17 @@ class TestRecruitment:
         with pytest.raises(ValueError):
             Recruitment(growth=1.0, capacity=-2.0)
 
-    def test_wrong_shape_rejected(self):
-        class Monotone(Recruitment):
-            def rate(self, x):
-                return self.growth * x  # no hump
-
-        with pytest.raises(ValueError):
-            Monotone(growth=1.0, capacity=2.0)
+    @pytest.mark.parametrize("growth, capacity", [
+        (1e-320, 2.0),            # subnormal peak rate
+        (1e-200, 1e-200),         # peak rate underflows to zero
+        (1.0, float("inf")),      # peak rate is NaN
+        (float("inf"), 1.0),      # peak rate overflows
+        (10.0, 1e308),
+        (1000.0, 2.75e305),       # finite peak, but rate(capacity) is NaN
+    ])
+    def test_unusable_scale_rejected(self, growth, capacity):
+        with pytest.raises(ValueError, match="peak recruitment"):
+            Recruitment(growth=growth, capacity=capacity)
 
     def test_shape_holds_on_grid(self, logistic):
         xs = np.linspace(1e-3, logistic.capacity, 257)
@@ -170,22 +173,30 @@ class TestTotalHarvest:
         for r in (0.0, 0.3, 5.0):
             assert harvest_level(params, 1.0, r) == pytest.approx(1.0)
 
+    def test_restricted_shutdown_is_reachable(self):
+        # free fishing lands 2e-12, just above BOUNDARY_TOL; steep deviation
+        # costs at r = 0 pull the agreed total to 2e-18, below it
+        params = EconParams(1, 1, 1, 1, 1e6, 1e6, 1)
+        *_, h, regime = _nash_point(params, 1 + 4e-12, 0.0)
+        assert regime is Regime.SHUTDOWN_RESTRICTED
+        assert 0.0 < h <= 1e-12
+
 
 class TestIndividualQuotas:
     def test_symmetric_binding(self, symmetric_params):
-        q1, q2 = individual_quotas(symmetric_params, 1.0, 0.0)
-        assert q1 == pytest.approx(1 / 6)
-        assert q2 == pytest.approx(1 / 6)
+        out = total_harvest(symmetric_params, 1.0, 0.0)
+        assert out.q_1 == pytest.approx(1 / 6)
+        assert out.q_2 == pytest.approx(1 / 6)
 
     def test_symmetric_non_binding(self, symmetric_params):
-        assert individual_quotas(symmetric_params, 1.0, 5.0) == (
-            pytest.approx(0.5), pytest.approx(0.5))
+        out = total_harvest(symmetric_params, 1.0, 5.0)
+        assert (out.q_1, out.q_2) == (pytest.approx(0.5), pytest.approx(0.5))
 
     def test_asymmetric_clamps_idle_group(self):
         params = EconParams(1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0)
-        q1, q2 = individual_quotas(params, 1.0, 5.0)
-        assert q1 == pytest.approx(0.5)
-        assert q2 == 0.0
+        out = total_harvest(params, 1.0, 5.0)
+        assert out.q_1 == pytest.approx(0.5)
+        assert out.q_2 == 0.0
 
 
 class TestProfit:

@@ -1,5 +1,6 @@
 """Scenario loading, canonical serialization, and the CLI surface."""
 
+import hashlib
 import json
 
 import pytest
@@ -60,6 +61,19 @@ class TestScenarioConfig:
         assert changed.simulation.settings.strategy is Strategy.QUALITATIVE
         with pytest.raises(ConfigError, match="unknown field"):
             canonical.with_overrides({"econ.nope": 1.0})
+
+    @pytest.mark.parametrize("field, value", [
+        ("econ.price", "-1"),
+        ("recruitment.growth", "0"),
+        ("strategy.name", "foo"),
+        ("strategy.initial_trend", "sideways"),
+        ("strategy.initial_maturity", "old"),
+        ("simulation.dt", "1.0"),
+    ])
+    def test_invalid_override_names_field(self, canonical, field, value):
+        section, key = field.split(".")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}:"):
+            canonical.with_overrides({field: value})
 
 
 class TestCheckCommand:
@@ -193,6 +207,43 @@ class TestSweepCommand:
     def test_unknown_axis_field_exits_one(self, canonical_scenario_path, tmp_path):
         assert main(["sweep", "--config", canonical_scenario_path,
                      "--out", str(tmp_path), "--axes", "econ.nope=1:2:3"]) == 1
+
+    @pytest.mark.parametrize("axes", [
+        "econ.price=-1|1",
+        "strategy.name=foo|qualitative",
+        "strategy.initial_trend=sideways|growing",
+    ])
+    def test_invalid_first_value_is_config_error(self, canonical_scenario_path,
+                                                 tmp_path, capsys, axes):
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", axes]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axes, bad", [
+        ("econ.price=2.0|-1,simulation.horizon=1:1:1", "-1"),
+        ("simulation.dt=0.01|1.0,simulation.horizon=1:1:1", "1.0"),
+    ])
+    def test_invalid_later_value_is_error_row(self, canonical_scenario_path,
+                                              tmp_path, axes, bad):
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", axes]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["viable", "error: ConfigError"]
+        assert rows[1][:2] == [bad, "1"] and rows[1][3:] == ["", "", ""]
+
+    def test_sweep_bytes_are_pinned(self, canonical_scenario_path, tmp_path):
+        # 18 summarized cells over all three strategies; sweep output must
+        # stay byte-identical
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes",
+                     "strategy.name=ichthyocentric|conservative|qualitative,"
+                     "econ.price=1.5:2.5:3,recruitment.growth=0.8|1.2,"
+                     "simulation.horizon=2:2:1"]) == 0
+        digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == "373144227093073da0b951a7528f20dae835f18da91795c3c84cf8641491e907"
 
     def test_harvest_floor_axis_flips_at_recruitment(self, canonical, tmp_path):
         text = canonical.to_text().replace("horizon = 200.0", "horizon = 120.0")

@@ -3,9 +3,8 @@
 import numpy as np
 
 from quotavia import EconParams, ViabilityBounds
-from quotavia.econ import harvest_level
+from quotavia.econ import harvest_curve, harvest_level
 from quotavia.verification import (
-    harvest_curve,
     monotonicity_suite,
     nash_agreement_suite,
     viability_domain_suite,
