@@ -44,11 +44,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# One %-template per CSV row: "%.17g" % v == f"{v:.17g}" for every float,
+# so these lines are the bytes _fmt would give, built in one call per row.
+_TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\n"
+_PHASE_ROW = "%.17g,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%s\n"
+_BOOL = ("false", "true")
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write the header and ``rows``, finished lines that end in newlines."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.writelines(rows)
 
 
 def _load(path: str) -> ScenarioConfig:
@@ -91,8 +98,9 @@ def _cmd_simulate(args) -> int:
     out_dir = args.out if args.out is not None else cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     record = simulate(*cfg.build())
-    rows = ((s.t, s.x, s.r, s.h, s.q_1, s.q_2, s.regime, s.region,
-             s.maturity, s.viable_ecological, s.viable_economic)
+    rows = (_TRAJECTORY_ROW % (s.t, s.x, s.r, s.h, s.q_1, s.q_2, s.regime.value,
+                               s.region.value, s.maturity.value,
+                               _BOOL[s.viable_ecological], _BOOL[s.viable_economic])
             for s in record.samples)
     _write_csv(os.path.join(out_dir, cfg.output.trajectory_file),
                ["t", "x", "r", "h", "q1", "q2", "regime", "region",
@@ -133,7 +141,10 @@ def _cmd_phase(args) -> int:
     cfg = _load(args.config)
     xs, rs = _parse_grid(args.grid)
     out_dir = _out_dir(args)
-    rows = phase_rows(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs)
+    rows = (_PHASE_ROW % (x, r, h, regime.value, sign, unmanaged, ceiling, floor,
+                          region.value)
+            for x, r, h, regime, sign, unmanaged, ceiling, floor, region
+            in phase_rows(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
     _write_csv(os.path.join(out_dir, "phase_grid.csv"),
                ["x", "r", "h", "regime", "sign_growth_minus_harvest",
                 "unmanaged_harvest", "recommendation_ceiling",
@@ -181,12 +192,14 @@ def _parse_axes(spec: str) -> list[tuple[str, list]]:
     return axes
 
 
-def _sweep_row(cell) -> list:
+def _sweep_row(cell) -> str:
     if cell.error is not None:  # the row names the type; CellResult keeps the message
-        return [*cell.values, f"error: {cell.error.partition(':')[0]}", "", "", ""]
-    return [*cell.values, "violated" if cell.violated else "viable",
-            cell.first_violation if cell.first_violation is not None else "",
-            cell.terminal_stock, cell.mean_harvest]
+        values = [*cell.values, f"error: {cell.error.partition(':')[0]}", "", "", ""]
+    else:
+        values = [*cell.values, "violated" if cell.violated else "viable",
+                  cell.first_violation if cell.first_violation is not None else "",
+                  cell.terminal_stock, cell.mean_harvest]
+    return ",".join(_fmt(v) for v in values) + "\n"
 
 
 def _cmd_sweep(args) -> int:

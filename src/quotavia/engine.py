@@ -3,7 +3,8 @@
 The stock follows ``dx/dt = growth(x) - harvest(x, r)``.  The recommendation
 ``r`` is piecewise constant between controller decisions; the negotiated
 harvest reacts to the stock instantaneously, so the integrator re-solves the
-negotiation at every Runge-Kutta stage.  Violations of the viability floors,
+negotiation at every Runge-Kutta stage; the first stage reuses the solve that
+is recorded for the step's sample.  Violations of the viability floors,
 region crossings, moratorium transitions and extinction are recorded as
 time-stamped events.
 """
@@ -173,19 +174,16 @@ def step(x: float, h: float, rec: Recruitment, dt: float) -> float:
         raise ValueError("harvest must be non-negative")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return max(_rk4(lambda s: rec.rate(s) - h, x, dt), 0.0)
+
+    def rhs(s: float) -> float:
+        return rec.rate(s) - h
+
+    return max(_rk4(rhs, x, dt, rhs(x)), 0.0)
 
 
-def _closed_loop_rhs(params: EconParams, rec: Recruitment, r: float) -> Callable[[float], float]:
-    def rhs(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return rec.rate(x) - _nash_point(params, x, r)[2]
-    return rhs
-
-
-def _rk4(rhs: Callable[[float], float], x: float, dt: float) -> float:
-    k1 = rhs(x)
+def _rk4(rhs: Callable[[float], float], x: float, dt: float, k1: float) -> float:
+    """Classical fourth-order step from ``x``; ``k1 = rhs(x)`` is passed in
+    because the simulation loop already has it from the recorded solve."""
     k2 = rhs(x + 0.5 * dt * k1)
     k3 = rhs(x + 0.5 * dt * k2)
     k4 = rhs(x + dt * k3)
@@ -273,35 +271,48 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     if settings.strategy is Strategy.QUALITATIVE and settings.initial_trend is not None:
         control_update(0.0)
 
-    def region_at(t: float) -> Region:
-        obs = observe(t)
-        harvest_sign = 1 if obs.harvest >= bounds.harvest_floor else -1
-        return classify_region(obs.trend_sign, harvest_sign, obs.binding,
-                               state.maturity).region
+    def closed_loop(s: float) -> float:
+        if s <= 0.0:
+            return 0.0
+        return rec.rate(s) - _nash_point(params, s, state.recommendation)[2]
 
-    region = region_at(0.0)
+    def regrowth(s: float) -> float:
+        return rec.rate(s) if s > 0.0 else 0.0
+
+    stock_line = bounds.stock_floor - _VIABILITY_TOL
+    harvest_line = bounds.harvest_floor - _VIABILITY_TOL
+    region = Region.R0_NON_BINDING  # replaced at k = 0
     prev_flags: tuple[bool, bool] | None = None
 
     for k in range(n_steps + 1):
         t = k * dt
-        if k > 0 and k % per_control == 0:
+        decides = k > 0 and k % per_control == 0
+        if decides:
             raw = x - prev_control_x
             trend = -1 if raw <= -deadband else 1
             prev_control_x = x
             control_update(t)
-            new_region = region_at(t)
-            if new_region is not region:
+
+        r = state.recommendation
+        q1, q2, h, regime = _nash_point(params, max(x, 1e-300), r)
+        idle = state.moratorium or extinct
+        if idle:
+            q1 = q2 = h = 0.0
+        # The recorded solve clamps the stock at 1e-300; the region and RK
+        # stage k1 need the harvest at x itself, which below that clamp
+        # takes a solve of its own.
+        h_x = h if idle or x >= 1e-300 else _nash_point(params, x, r)[2]
+
+        if k == 0 or decides:
+            new_region = classify_region(trend, 1 if h_x >= bounds.harvest_floor else -1,
+                                         h_x + _BINDING_TOL >= r, state.maturity).region
+            if k > 0 and new_region is not region:
                 events.append(Event(t, EVENT_REGION,
                                     {"from": region.value, "to": new_region.value}))
-                region = new_region
+            region = new_region
 
-        q1, q2, h, regime = _nash_point(params, max(x, 1e-300), state.recommendation)
-        if state.moratorium or extinct:
-            q1 = q2 = h = 0.0
-
-        flags = (x >= bounds.stock_floor - _VIABILITY_TOL,
-                 h >= bounds.harvest_floor - _VIABILITY_TOL)
-        if prev_flags is not None:
+        flags = (x >= stock_line, h >= harvest_line)
+        if prev_flags is not None and flags != prev_flags:
             for which, before, now in (("ecological", prev_flags[0], flags[0]),
                                        ("economic", prev_flags[1], flags[1])):
                 if before and not now:
@@ -311,15 +322,15 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         prev_flags = flags
 
         if k % cfg.record_stride == 0 or k == n_steps:
-            samples.append(Sample(t, x, state.recommendation, h, q1, q2, regime,
+            samples.append(Sample(t, x, r, h, q1, q2, regime,
                                   region, state.maturity, flags[0], flags[1]))
         if k == n_steps:
             break
 
-        if state.moratorium or extinct:
-            x_next = _rk4(lambda s: rec.rate(s) if s > 0.0 else 0.0, x, dt)
+        if idle:
+            x_next = _rk4(regrowth, x, dt, regrowth(x))
         else:
-            x_next = _rk4(_closed_loop_rhs(params, rec, state.recommendation), x, dt)
+            x_next = _rk4(closed_loop, x, dt, rec.rate(x) - h_x)
         if x_next <= 0.0:
             if not extinct:
                 events.append(Event((k + 1) * dt, EVENT_EXTINCTION))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
 from .control import Strategy
@@ -63,17 +64,25 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
-def _parse_value(section: str, key: str, raw: str):
+def _parse_value(section: str, key: str, raw):
+    """Typed value of one field.  A string is parsed as file input; any
+    other value is taken as already typed.  A float must be finite."""
     try:
         kind, _ = _SCHEMA[section][key]
     except KeyError:
         raise ConfigError(f"[{section}] {key}: unknown key") from None
-    if kind is str:
-        return raw.strip()
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, got {raw!r}") from None
+    value = raw
+    if isinstance(raw, str):
+        if kind is str:
+            return raw.strip()
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, "
+                              f"got {raw!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -200,7 +209,8 @@ class ScenarioConfig:
         """New config with dotted ``section.key`` fields replaced.
 
         Values may be strings (parsed like file input) or already typed.  An
-        invalid value raises :class:`ConfigError` naming the field.
+        invalid or non-finite value raises :class:`ConfigError` naming the
+        field.
         """
         cfg = self
         for path, value in overrides.items():
@@ -210,8 +220,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{path!r}: expected section.key") from None
             if section not in _SCHEMA or key not in _SCHEMA[section]:
                 raise ConfigError(f"{path!r}: unknown field")
-            if isinstance(value, str):
-                value = _parse_value(section, key, value)
+            value = _parse_value(section, key, value)
             try:
                 cfg = cfg._with_field(section, key, value)
             except (ValueError, KeyError) as exc:

@@ -8,6 +8,7 @@ from quotavia import (
     EconParams,
     Maturity,
     Recruitment,
+    ScenarioConfig,
     SimConfig,
     Strategy,
     StrategySettings,
@@ -18,6 +19,7 @@ from quotavia import (
     total_harvest,
     unmanaged_harvest,
 )
+from quotavia import engine
 from quotavia.engine import (
     EVENT_EXTINCTION,
     EVENT_MORATORIUM_END,
@@ -243,6 +245,25 @@ def test_determinism(symmetric_params, logistic, floors):
     second = simulate(symmetric_params, logistic, floors, config(horizon=20.0))
     assert first.samples == second.samples
     assert first.events == second.events
+
+
+@pytest.mark.parametrize("scenario, solves", [("canonical", 80_001), ("crisis", 81_852)])
+def test_nash_solves_per_run(scenario, solves, request, monkeypatch):
+    # per step one recorded solve, which RK stage k1 and the region
+    # classification reuse, plus stages k2-k4 outside a moratorium; the
+    # qualitative controller adds one solve per decision
+    cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
+    calls = 0
+    solve = engine._nash_point
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(engine, "_nash_point", counted)
+    simulate(*cfg.build())
+    assert calls == solves
 
 
 def test_record_stride_keeps_terminal_sample(symmetric_params, logistic, floors):

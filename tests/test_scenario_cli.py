@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -9,6 +10,27 @@ from quotavia import ConfigError, ScenarioConfig, Strategy
 from quotavia.cli import main
 
 EXPECTED_HEADER = "t,x,r,h,q1,q2,regime,region,maturity,viable_eco,viable_econ"
+
+# sha256 of full-length outputs; simulate and phase promise byte-identical
+# output, so any change to these files is a regression
+SIMULATE_DIGESTS = {
+    "canonical": {
+        "trajectory.csv": "e5700a575750b0af70755215bf03bf05269cc1a0343d819dc9063ccb7a0697d8",
+        "events.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    },
+    "crisis": {
+        "trajectory.csv": "1579b243c5fdb4afbf3c1460d3afcae0a39952923eec6e6e059de440f519355e",
+        "events.json": "e8282d6cc081e3acce3b58e701231cbf455f4a250b1371e6d940c1bec32ff9fb",
+    },
+}
+PHASE_DIGESTS = {
+    "phase_grid.csv": "319bde3092285fd8d8cc207d2df619cd6b36c25dcdbd1c27e3e95c8a089e1845",
+    "phase_levels.json": "4df859c67ba27f4134a98b092ddb8ab1ef0fa0c377970482ebca48e3dddbb723",
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture()
@@ -48,6 +70,18 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="econ"):
             ScenarioConfig.from_text(text)
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("price = 2.0", "price = inf", "[econ] price:"),
+        ("kappa_1 = 1.0", "kappa_1 = nan", "[econ] kappa_1:"),
+        ("stock_floor = 1.0", "stock_floor = Infinity", "[bounds] stock_floor:"),
+        ("rate = 0.05", "rate = -inf", "[strategy] rate:"),
+        ("horizon = 200.0", "horizon = inf", "[simulation] horizon:"),
+    ])
+    def test_non_finite_value_rejected(self, canonical, old, new, field):
+        text = canonical.to_text().replace(old, new)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            ScenarioConfig.from_text(text)
+
     def test_zero_horizon_rejected(self, canonical):
         text = canonical.to_text().replace("horizon = 200.0", "horizon = 0.0")
         with pytest.raises(ConfigError, match="simulation"):
@@ -69,6 +103,11 @@ class TestScenarioConfig:
         ("strategy.initial_trend", "sideways"),
         ("strategy.initial_maturity", "old"),
         ("simulation.dt", "1.0"),
+        ("econ.price", "inf"),
+        ("simulation.horizon", "nan"),
+        ("econ.price", float("inf")),
+        ("bounds.harvest_floor", float("inf")),
+        ("strategy.initial_recommendation", float("nan")),
     ])
     def test_invalid_override_names_field(self, canonical, field, value):
         section, key = field.split(".")
@@ -108,6 +147,22 @@ class TestCheckCommand:
         assert main(["check", "--config", "/no/such/file.ini"]) == 1
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("check", "price = 2.0", "price = inf"),
+    ("simulate", "price = 2.0", "price = inf"),
+    ("simulate", "horizon = 200.0", "horizon = inf"),
+])
+def test_non_finite_input_exits_one(canonical, tmp_path, capsys, command, old, new):
+    path = tmp_path / "bad.ini"
+    path.write_text(canonical.to_text().replace(old, new))
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must be finite" in err
+
+
 class TestSimulateCommand:
     def test_writes_expected_files(self, canonical, tmp_path, capsys):
         short = canonical.to_text().replace("horizon = 200.0", "horizon = 5.0")
@@ -132,6 +187,13 @@ class TestSimulateCommand:
             first = (dirs[0] / name).read_bytes()
             second = (dirs[1] / name).read_bytes()
             assert first == second
+
+    @pytest.mark.parametrize("scenario", sorted(SIMULATE_DIGESTS))
+    def test_bytes_are_pinned(self, scenario, request, tmp_path):
+        path = request.getfixturevalue(f"{scenario}_scenario_path")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        for name, digest in SIMULATE_DIGESTS[scenario].items():
+            assert sha256_of(tmp_path / name) == digest, name
 
     def test_unwritable_output_exits_one(self, canonical_scenario_path, tmp_path):
         blocker = tmp_path / "blocker"
@@ -177,6 +239,12 @@ class TestPhaseCommand:
         row = (tmp_path / "phase_grid.csv").read_text().splitlines()[1].split(",")
         assert row[4] == "0"
 
+    def test_bytes_are_pinned(self, canonical_scenario_path, tmp_path):
+        assert main(["phase", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--grid", "0.1:2:0:1.5:200:200"]) == 0
+        for name, digest in PHASE_DIGESTS.items():
+            assert sha256_of(tmp_path / name) == digest, name
+
     def test_degenerate_rectangle_rejected(self, canonical_scenario_path, tmp_path, capsys):
         assert main(["phase", "--config", canonical_scenario_path,
                      "--out", str(tmp_path), "--grid", "2.0:1.0:0.0:1.0:5:5"]) == 1
@@ -212,6 +280,8 @@ class TestSweepCommand:
         "econ.price=-1|1",
         "strategy.name=foo|qualitative",
         "strategy.initial_trend=sideways|growing",
+        "econ.price=inf|1",
+        "simulation.horizon=inf:inf:1",
     ])
     def test_invalid_first_value_is_config_error(self, canonical_scenario_path,
                                                  tmp_path, capsys, axes):
@@ -224,6 +294,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("axes, bad", [
         ("econ.price=2.0|-1,simulation.horizon=1:1:1", "-1"),
         ("simulation.dt=0.01|1.0,simulation.horizon=1:1:1", "1.0"),
+        ("econ.price=1|inf,simulation.horizon=1:1:1", "inf"),
     ])
     def test_invalid_later_value_is_error_row(self, canonical_scenario_path,
                                               tmp_path, axes, bad):
