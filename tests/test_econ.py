@@ -1,5 +1,9 @@
 """Closed-form negotiation: frozen examples, regime dispatch, invariants."""
 
+import hashlib
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +185,40 @@ class TestTotalHarvest:
         assert regime is Regime.SHUTDOWN_RESTRICTED
         assert 0.0 < h <= 1e-12
 
+
+
+def _nash_grid():
+    """Seeded (params, x, r) points spanning every branch of _nash_point:
+    one in ten unmanaged, asymmetric costs for the single-active branches,
+    plus the restricted-shutdown point."""
+    rng = random.Random(2024)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    points = [(EconParams(1, 1, 1, 1, 1e6, 1e6, 1), 1 + 4e-12, 0.0)]
+    for i in range(2000):
+        kappas = ((0.0, 0.0) if i % 10 == 0
+                  else (log_uniform(0.01, 100), log_uniform(0.01, 100)))
+        params = EconParams(log_uniform(0.1, 10), log_uniform(0.1, 10),
+                            log_uniform(0.1, 10), log_uniform(0.1, 10),
+                            *kappas, log_uniform(0.1, 10))
+        points.append((params, log_uniform(0.05, 20), rng.uniform(0.0, 5.0)))
+    return points
+
+
+def test_nash_point_outputs_are_pinned():
+    lines = []
+    seen = set()
+    for params, x, r in _nash_grid():
+        q1, q2, h, regime = _nash_point(params, x, r)
+        seen.add(regime)
+        if regime is Regime.BINDING and (q1 == 0.0) != (q2 == 0.0):
+            seen.add("group 1 alone" if q2 == 0.0 else "group 2 alone")
+        lines.append(f"{q1:.17g},{q2:.17g},{h:.17g},{regime.value}\n")
+    assert seen == {*Regime, "group 1 alone", "group 2 alone"}
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "e287f2977974c8fe3c868e23ced35e1e00e87f13e6b38db7f83bf5d93de59825"
 
 class TestIndividualQuotas:
     def test_symmetric_binding(self, symmetric_params):
