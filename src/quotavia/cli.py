@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
+from .control import Strategy
 from .engine import simulate, summarize, sweep
 from .scenario import ConfigError, ScenarioConfig
 from .verification import DEFAULT_SEED, run_all
@@ -46,6 +48,8 @@ def _fmt(value) -> str:
 
 # One %-template per CSV row: "%.17g" % v == f"{v:.17g}" for every float,
 # so these lines are the bytes _fmt would give, built in one call per row.
+# Enum members are read through ``_value_``, the attribute ``Enum`` documents
+# as holding the value; ``.value`` is a descriptor call per member.
 _TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\n"
 _PHASE_ROW = "%.17g,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%s\n"
 _BOOL = ("false", "true")
@@ -64,8 +68,24 @@ def _load(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_file(path)
 
 
+def _require_deviation_costs(cfg: ScenarioConfig, user: str) -> None:
+    """The threshold curves, and so ``check``, ``phase`` and the conservative
+    strategy, are undefined in a fishery without deviation costs."""
+    if cfg.econ.unmanaged:
+        raise ConfigError(f"[econ] kappa_1, kappa_2: {user} needs a positive "
+                          "deviation cost; with both 0 the threshold curves "
+                          "are undefined")
+
+
+def _simulation_inputs(cfg: ScenarioConfig):
+    if cfg.strategy.strategy is Strategy.CONSERVATIVE:
+        _require_deviation_costs(cfg, "the conservative strategy")
+    return cfg.build()
+
+
 def _cmd_check(args) -> int:
     cfg = _load(args.config)
+    _require_deviation_costs(cfg, "check")
     verdict = check_viability_domain(cfg.econ, cfg.recruitment, cfg.bounds)
     ok = verdict.conditions
     print(f"condition (i)   harvest floor attainable unmanaged: margin={_fmt(verdict.margin_floor_attainable)} "
@@ -95,13 +115,14 @@ def _out_dir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config)
+    inputs = _simulation_inputs(cfg)
     out_dir = args.out if args.out is not None else cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
-    record = simulate(*cfg.build())
-    rows = (_TRAJECTORY_ROW % (s.t, s.x, s.r, s.h, s.q_1, s.q_2, s.regime.value,
-                               s.region.value, s.maturity.value,
-                               _BOOL[s.viable_ecological], _BOOL[s.viable_economic])
-            for s in record.samples)
+    record = simulate(*inputs)
+    rows = (_TRAJECTORY_ROW % (t, x, r, h, q1, q2, regime._value_, region._value_,
+                               maturity._value_, _BOOL[eco], _BOOL[econ])
+            for t, x, r, h, q1, q2, regime, region, maturity, eco, econ
+            in record.samples)
     _write_csv(os.path.join(out_dir, cfg.output.trajectory_file),
                ["t", "x", "r", "h", "q1", "q2", "regime", "region",
                 "maturity", "viable_eco", "viable_econ"], rows)
@@ -126,6 +147,8 @@ def _parse_grid(spec: str):
         nx, nr = int(parts[4]), int(parts[5])
     except ValueError as exc:
         raise _UsageError(f"--grid: {exc}") from None
+    if not all(map(math.isfinite, (x_min, x_max, r_min, r_max))):
+        raise _UsageError("--grid: axis bounds must be finite")
     if nx < 1 or nr < 1:
         raise _UsageError("--grid: axis resolutions must be at least 1")
     if x_min <= 0.0:
@@ -139,10 +162,11 @@ def _parse_grid(spec: str):
 
 def _cmd_phase(args) -> int:
     cfg = _load(args.config)
+    _require_deviation_costs(cfg, "phase")
     xs, rs = _parse_grid(args.grid)
     out_dir = _out_dir(args)
-    rows = (_PHASE_ROW % (x, r, h, regime.value, sign, unmanaged, ceiling, floor,
-                          region.value)
+    rows = (_PHASE_ROW % (x, r, h, regime._value_, sign, unmanaged, ceiling, floor,
+                          region._value_)
             for x, r, h, regime, sign, unmanaged, ceiling, floor, region
             in phase_rows(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
     _write_csv(os.path.join(out_dir, "phase_grid.csv"),
@@ -187,6 +211,10 @@ def _parse_axes(spec: str) -> list[tuple[str, list]]:
             raise _UsageError(f"--axes {field}: {exc}") from None
         if count < 1:
             raise _UsageError(f"--axes {field}: N must be at least 1")
+        # a single value is LO itself, checked like any other value; linspace
+        # would spread a non-finite bound into values nobody wrote
+        if count > 1 and not (math.isfinite(lo) and math.isfinite(hi)):
+            raise _UsageError(f"--axes {field}: LO and HI must be finite")
         values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
         axes.append((field, [float(v) for v in values]))
     return axes
@@ -213,10 +241,10 @@ def _cmd_sweep(args) -> int:
     out_dir = _out_dir(args)
 
     # validate axis fields and first values up front: a bad one is a config error
-    cfg.with_overrides({field: values[0] for field, values in axes})
+    _simulation_inputs(cfg.with_overrides({field: values[0] for field, values in axes}))
 
-    rows = [_sweep_row(cell)
-            for cell in sweep(lambda overrides: cfg.with_overrides(overrides).build(), axes)]
+    rows = [_sweep_row(cell) for cell in
+            sweep(lambda overrides: _simulation_inputs(cfg.with_overrides(overrides)), axes)]
     _write_csv(os.path.join(out_dir, "sweep.csv"),
                [*(field for field, _ in axes), "verdict", "first_violation_time",
                 "terminal_x", "mean_h"],

@@ -16,6 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +142,7 @@ class Recruitment:
         return self.growth * x * (1.0 - x / self.capacity)
 
 
-@dataclass(frozen=True)
-class NegotiationOutcome:
+class NegotiationOutcome(NamedTuple):
     """Equilibrium of one negotiation round: quotas, total catch, regime tag."""
 
     q_1: float
@@ -240,30 +240,29 @@ def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, f
         excess = h - r
         q1 = opt1 - k1 * x * excess / b1
         q2 = opt2 - k2 * x * excess / b2
-        if q1 >= 0.0 and q2 >= 0.0:
-            return q1, q2, h, _deviation_regime(h, free)
-        active = 2 if q1 < 0.0 else 1
+        active = 0 if q1 >= 0.0 and q2 >= 0.0 else 2 if q1 < 0.0 else 1
     else:
         active = 1 if opt1 > 0.0 else 2
 
     # Remaining group's first-order condition with the other held at zero.
     if active == 1:
         q = (gain1 + 2.0 * k1 * x * r) / (2.0 * (b1 + k1 * x))
-        q = q if q > 0.0 else 0.0
-        return q, 0.0, q, _deviation_regime(q, free)
-    q = (gain2 + 2.0 * k2 * x * r) / (2.0 * (b2 + k2 * x))
-    q = q if q > 0.0 else 0.0
-    return 0.0, q, q, _deviation_regime(q, free)
+        q1 = h = q if q > 0.0 else 0.0
+        q2 = 0.0
+    elif active == 2:
+        q = (gain2 + 2.0 * k2 * x * r) / (2.0 * (b2 + k2 * x))
+        q2 = h = q if q > 0.0 else 0.0
+        q1 = 0.0
 
-
-def _deviation_regime(h: float, free: float) -> Regime:
     if h > BOUNDARY_TOL:
-        return Regime.BINDING
+        return q1, q2, h, Regime.BINDING
     # Restricted shutdown: free fishing would land a catch above the
     # tolerance, but deviation costs pull the agreed total below it.  Rare,
     # yet reachable: EconParams(1, 1, 1, 1, 1e6, 1e6, 1) at x = 1 + 4e-12,
     # r = 0 gives free = 2e-12 and h = 2e-18.
-    return Regime.SHUTDOWN_RESTRICTED if free > BOUNDARY_TOL else Regime.SHUTDOWN_UNPROFITABLE
+    if free > BOUNDARY_TOL:
+        return q1, q2, h, Regime.SHUTDOWN_RESTRICTED
+    return q1, q2, h, Regime.SHUTDOWN_UNPROFITABLE
 
 
 def total_harvest(params: EconParams, x: float, r: float) -> NegotiationOutcome:
@@ -274,8 +273,7 @@ def total_harvest(params: EconParams, x: float, r: float) -> NegotiationOutcome:
     """
     _require_stock(x)
     _require_recommendation(r)
-    q1, q2, h, regime = _nash_point(params, x, r)
-    return NegotiationOutcome(q_1=q1, q_2=q2, h=h, regime=regime)
+    return NegotiationOutcome(*_nash_point(params, x, r))
 
 
 def harvest_level(params: EconParams, x: float, r: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .control import (
     ControllerState,
@@ -118,8 +118,7 @@ class SimConfig:
             raise ValueError("record_stride must be at least 1")
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     t: float
     x: float
     r: float
@@ -271,18 +270,24 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     if settings.strategy is Strategy.QUALITATIVE and settings.initial_trend is not None:
         control_update(0.0)
 
+    # Recruitment.rate spelled out: the same operations, without a method
+    # call per RK stage.
+    growth, capacity = rec.growth, rec.capacity
+
     def closed_loop(s: float) -> float:
         if s <= 0.0:
             return 0.0
-        return rec.rate(s) - _nash_point(params, s, state.recommendation)[2]
+        return (growth * s * (1.0 - s / capacity)
+                - _nash_point(params, s, state.recommendation)[2])
 
     def regrowth(s: float) -> float:
-        return rec.rate(s) if s > 0.0 else 0.0
+        return growth * s * (1.0 - s / capacity) if s > 0.0 else 0.0
 
     stock_line = bounds.stock_floor - _VIABILITY_TOL
     harvest_line = bounds.harvest_floor - _VIABILITY_TOL
     region = Region.R0_NON_BINDING  # replaced at k = 0
     prev_flags: tuple[bool, bool] | None = None
+    stride = cfg.record_stride
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -321,7 +326,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                     events.append(Event(t, EVENT_RECOVERY, {"which": which}))
         prev_flags = flags
 
-        if k % cfg.record_stride == 0 or k == n_steps:
+        if k % stride == 0 or k == n_steps:
             samples.append(Sample(t, x, r, h, q1, q2, regime,
                                   region, state.maturity, flags[0], flags[1]))
         if k == n_steps:
@@ -330,7 +335,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         if idle:
             x_next = _rk4(regrowth, x, dt, regrowth(x))
         else:
-            x_next = _rk4(closed_loop, x, dt, rec.rate(x) - h_x)
+            x_next = _rk4(closed_loop, x, dt, growth * x * (1.0 - x / capacity) - h_x)
         if x_next <= 0.0:
             if not extinct:
                 events.append(Event((k + 1) * dt, EVENT_EXTINCTION))

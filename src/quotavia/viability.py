@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .econ import (
     EconParams,
@@ -69,8 +70,7 @@ class Maturity(Enum):
     MATURE = "mature"
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(NamedTuple):
     region: Region
     maturity: Maturity
 

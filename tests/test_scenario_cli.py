@@ -337,6 +337,80 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "99", "--instances", "10"]) == 0
 
 
+# sha256 of trajectory.csv/events.json of a 20-time-unit canonical run with
+# both deviation costs at 0; these strategies never need the threshold
+# curves, so an unmanaged run must keep working and keep its bytes
+UNMANAGED_DIGESTS = {
+    "qualitative": ("167af71db11e28ba00906494b6fe63d91fad38871f95ec69a3b2ee590b0238a0",
+                    "6447431771178d1626dc0a47f27f1133183072697927c9465c2946e480d2451d"),
+    "ichthyocentric": ("0038b9bcc57b91b705237db7d554bd34a0cc4a0db4a6dd65828cde80222c9a04",
+                       "0e789fcf803ad5ba2d5fcd055c9f277258ca755fcf364f909db0632461643b37"),
+}
+
+
+class TestUnmanagedScenario:
+    @pytest.fixture()
+    def unmanaged(self, canonical):
+        return (canonical.to_text().replace("kappa_1 = 1.0", "kappa_1 = 0.0")
+                .replace("kappa_2 = 1.0", "kappa_2 = 0.0")
+                .replace("horizon = 200.0", "horizon = 20.0"))
+
+    @pytest.mark.parametrize("argv", [
+        ["check"],
+        ["phase", "--grid", "0.1:2:0:1.5:5:5"],
+        ["simulate"],
+    ])
+    def test_threshold_curve_users_exit_one(self, unmanaged, tmp_path, capsys, argv):
+        path = tmp_path / "unmanaged.ini"
+        path.write_text(unmanaged)       # canonical.ini runs the conservative strategy
+        out = ["--out", str(tmp_path / "out")] if argv[0] != "check" else []
+        assert main([*argv, "--config", str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [econ] kappa_1, kappa_2: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("strategy", sorted(UNMANAGED_DIGESTS))
+    def test_other_strategies_run(self, unmanaged, tmp_path, strategy):
+        path = tmp_path / "unmanaged.ini"
+        path.write_text(unmanaged.replace("name = conservative", f"name = {strategy}"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        digests = (sha256_of(tmp_path / "trajectory.csv"),
+                   sha256_of(tmp_path / "events.json"))
+        assert digests == UNMANAGED_DIGESTS[strategy]
+
+    def test_sweep_cell_is_config_error(self, canonical_scenario_path, tmp_path, capsys):
+        axes = "econ.kappa_1=1|0,econ.kappa_2=0:0:1,simulation.horizon=1:1:1"
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", axes]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[3] for row in rows] == ["viable", "error: ConfigError"]
+        first_unmanaged = "econ.kappa_1=0|1,econ.kappa_2=0:0:1,simulation.horizon=1:1:1"
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path / "first"), "--axes", first_unmanaged]) == 1
+        assert "kappa_1, kappa_2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, spec", [
+    ("phase", "--grid", "0.1:inf:0:1.5:3:2"),
+    ("phase", "--grid", "0.1:2:nan:1.5:3:2"),
+    ("phase", "--grid", "nan:2:0:1.5:3:2"),
+    ("phase", "--grid", "inf:inf:0:0:1:1"),
+    ("sweep", "--axes", "econ.price=1:inf:2"),
+    ("sweep", "--axes", "econ.price=nan:1:3"),
+    ("sweep", "--axes", "econ.price=-inf:inf:2"),
+])
+def test_non_finite_bounds_are_usage_errors(canonical_scenario_path, tmp_path, capsys,
+                                            command, option, spec):
+    assert main([command, "--config", canonical_scenario_path,
+                 "--out", str(tmp_path), option, spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}") and "must be finite" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["simulate", "--nonsense"]) == 1
     assert main(["phase", "--config", "x", "--grid", "1:2:3"]) == 1
