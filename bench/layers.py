@@ -7,12 +7,19 @@ Usage, from the root of a checkout:
 
 The first form runs every layer once untimed, then times each layer N
 times (default 5) with ``time.perf_counter``, the layers in turn, and
-records the minimum and the median of the N intervals.  ``--root``
-measures the ``src/`` and ``scenarios/`` of another checkout (say, the
-parent commit) with this script, so both sides run the same measuring
-code.  The second form prints, per metric, the two minima
-and their change; with ``--label`` it also writes both runs and the
-changes to ``BENCH_<label>.json``.
+records the minimum and the median of the N intervals, as measured and
+normalized for the host's speed with the benchmark's reference work
+(``perfbench/reference.py``, timed right before and after every call).
+``--root`` measures the ``src/`` and ``scenarios/`` of another checkout
+(say, the parent commit) with this script, so both sides run the same
+measuring code.  The second form prints, per metric, the two normalized
+medians and their change, and the change of the measured minima; with
+``--label`` it also writes both runs and the changes to
+``BENCH_<label>.json``.  It compares normalized medians because on a
+shared 2-vCPU host, whose speed switches between two levels about 1.7x
+apart within seconds, the measured minimum of 15 repeats moved a layer by
+up to 41% between two runs of the same code, the normalized median by up
+to 13%.
 
 Measured, one process, one thread:
 
@@ -44,7 +51,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
-import importlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -55,6 +61,9 @@ import time  # noqa: E402
 from unittest import mock  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
+import reference  # noqa: E402
+import workloads  # noqa: E402
 PHASE_GRID = "0.1:2:0:1.5:200:200"
 SWEEP_SEED = 1
 NASH_GRID = 100
@@ -75,10 +84,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def entry(times: list[float], unit: str, per: int) -> dict:
+def entry(times: list[float], normalized: list[float], unit: str, per: int) -> dict:
     scale = 1e9 / per if unit == "ns" else 1.0
-    return {"unit": unit, "min": min(times) * scale,
-            "median": statistics.median(times) * scale, "per": per}
+    return {"unit": unit, "per": per,
+            "min": min(times) * scale, "median": statistics.median(times) * scale,
+            "normalized_min": min(normalized) * scale,
+            "normalized_median": statistics.median(normalized) * scale}
 
 
 def cli_main(argv: list[str]) -> None:
@@ -96,8 +107,6 @@ def replayed(module, attr: str, stand_in, argv: list[str]) -> None:
 
 
 def sweep_axes(root: str) -> str:
-    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
-    workloads = importlib.import_module("workloads")
     sweep = workloads.Sweep(root, SWEEP_SEED, out_dir="")
     sweep.setup()
     return sweep.axes
@@ -153,11 +162,15 @@ def measure(root: str, repeat: int) -> dict:
         for *_, call in layers:     # one untimed round: lazy imports, caches
             call()
         times: dict[str, list[float]] = {name: [] for name, *_ in layers}
+        normalized: dict[str, list[float]] = {name: [] for name, *_ in layers}
         for _ in range(repeat):
             for name, _unit, _per, call in layers:
+                before = reference.sample()
                 start = time.perf_counter()
                 call()
-                times[name].append(time.perf_counter() - start)
+                took = time.perf_counter() - start
+                times[name].append(took)
+                normalized[name].append(reference.normalize(took, before, reference.sample()))
 
     return {
         "machine": {
@@ -167,17 +180,18 @@ def measure(root: str, repeat: int) -> dict:
             "platform": platform.platform(),
         },
         "repeat": repeat,
-        "metrics": {name: entry(times[name], unit, per) for name, unit, per, _ in layers},
+        "metrics": {name: entry(times[name], normalized[name], unit, per)
+                    for name, unit, per, _ in layers},
     }
 
 
-def compare(old: dict, new: dict) -> dict[str, float]:
-    """Relative change of each metric's minimum, new against old."""
+def compare(old: dict, new: dict, key: str) -> dict[str, float]:
+    """Relative change of each metric's ``key`` value, new against old."""
     changes = {}
     for name, before in old["metrics"].items():
         after = new["metrics"].get(name)
-        if after is not None and before["min"] > 0.0:
-            changes[name] = after["min"] / before["min"] - 1.0
+        if after is not None and before[key] > 0.0:
+            changes[name] = after[key] / before[key] - 1.0
     return changes
 
 
@@ -198,19 +212,24 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     if args.compare is not None:
         old, new = (load(path) for path in args.compare)
-        changes = compare(old, new)
+        changes = compare(old, new, "normalized_median")
+        measured = compare(old, new, "min")
+        print(f"{'':32s} {'normalized median':>30s} {'':3s} {'change':>7s} "
+              f"{'measured min':>12s}")
         for name, change in changes.items():
-            unit = old["metrics"][name]["unit"]
-            print(f"{name:32s} {old['metrics'][name]['min']:14.6g} -> "
-                  f"{new['metrics'][name]['min']:14.6g} {unit:3s} {change:+7.1%}")
+            before, after = old["metrics"][name], new["metrics"][name]
+            print(f"{name:32s} {before['normalized_median']:12.6g} -> "
+                  f"{after['normalized_median']:12.6g} {before['unit']:3s} {change:+7.1%} "
+                  f"{measured[name]:+12.1%}")
         if args.label is not None:
             print("wrote", write(args.label, {"before": old, "after": new,
-                                              "change_of_min": changes}))
+                                              "change_of_normalized_median": changes,
+                                              "change_of_min": measured}))
         return 0
     result = measure(args.root, args.repeat)
     for name, value in result["metrics"].items():
-        print(f"{name:32s} min {value['min']:14.6g} median {value['median']:14.6g} "
-              f"{value['unit']}")
+        print(f"{name:32s} min {value['min']:12.6g} median {value['median']:12.6g} "
+              f"normalized min {value['normalized_min']:12.6g} {value['unit']}")
     print("wrote", write(args.label, result))
     return 0
 

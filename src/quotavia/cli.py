@@ -238,10 +238,9 @@ def _cmd_sweep(args) -> int:
         cells *= len(values)
     if cells > _MAX_SWEEP_CELLS:
         raise _UsageError(f"--axes: {cells} cells exceeds the {_MAX_SWEEP_CELLS} limit")
-    out_dir = _out_dir(args)
-
     # validate axis fields and first values up front: a bad one is a config error
     _simulation_inputs(cfg.with_overrides({field: values[0] for field, values in axes}))
+    out_dir = _out_dir(args)
 
     rows = [_sweep_row(cell) for cell in
             sweep(lambda overrides: _simulation_inputs(cfg.with_overrides(overrides)), axes)]

@@ -240,7 +240,10 @@ def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, f
         excess = h - r
         q1 = opt1 - k1 * x * excess / b1
         q2 = opt2 - k2 * x * excess / b2
-        active = 0 if q1 >= 0.0 and q2 >= 0.0 else 2 if q1 < 0.0 else 1
+        if q1 >= 0.0 and q2 >= 0.0:
+            active = 0
+        else:
+            active = 2 if q1 < 0.0 else 1
     else:
         active = 1 if opt1 > 0.0 else 2
 

@@ -390,6 +390,7 @@ class TestUnmanagedScenario:
         assert main(["sweep", "--config", canonical_scenario_path,
                      "--out", str(tmp_path / "first"), "--axes", first_unmanaged]) == 1
         assert "kappa_1, kappa_2" in capsys.readouterr().err
+        assert not (tmp_path / "first").exists()
 
 
 @pytest.mark.parametrize("command, option, spec", [
