@@ -25,6 +25,11 @@ Measured, one process, one thread:
 
 * ``nash_ns_per_solve``: one ``econ._nash_point`` call on the canonical
   parameters, over a 100x100 (x, r) grid;
+* ``harvest_curve_ns_per_point``: ``econ.harvest_curve`` on a 65x4096
+  grid built as ``verification.viability_existence_search`` builds it,
+  with asymmetric costs, so that every row block holds interior,
+  non-deviating and single-group points (the grid whose output
+  ``tests/test_verification.py`` pins);
 * ``simulate_ns_per_step_{canonical,crisis}``: ``engine.simulate`` on the
   shipped scenario, per RK4 step (20,000 steps);
 * ``trajectory_ns_per_row``: the ``simulate`` command with the simulation
@@ -133,6 +138,12 @@ def measure(root: str, repeat: int) -> dict:
         for x, r in points:
             solve(params, x, r)
 
+    kernel_params = econ.EconParams(0.5, 3.0, 1.0, 0.4, 2.0, 0.3, 1.5)
+    x_lo, capacity = 1.0, 2.0
+    kernel_xs = numpy.concatenate(([x_lo], numpy.linspace(x_lo, 4.0 * capacity, 65)[1:]))
+    kernel_rs = numpy.linspace(
+        0.0, 3.0 * max(econ.unmanaged_harvest(kernel_params, x_lo), 1.0), 4096)
+
     with tempfile.TemporaryDirectory() as out:
         phase_argv = ["phase", "--config", canonical, "--out", out, "--grid", PHASE_GRID]
         record = simulate(*cfg.build())
@@ -147,6 +158,8 @@ def measure(root: str, repeat: int) -> dict:
         # (name, unit, work units per call, call)
         layers = [
             ("nash_ns_per_solve", "ns", len(points), solves),
+            ("harvest_curve_ns_per_point", "ns", kernel_xs.size * kernel_rs.size,
+             lambda: econ.harvest_curve(kernel_params, kernel_xs, kernel_rs)),
             simulation("canonical", canonical),
             simulation("crisis", crisis),
             ("trajectory_ns_per_row", "ns", len(record.samples),

@@ -43,7 +43,17 @@ BOUNDARY_TOL = 1e-12
 
 
 class Regime(Enum):
-    """How the negotiated harvest relates to the recommendation."""
+    """How the negotiated harvest relates to the recommendation.
+
+    ``NON_BINDING``: no deviation cost applies (the recommendation covers
+    the free catch, or the fishery is unmanaged) and the groups land their
+    free catch, above ``BOUNDARY_TOL``.  ``BINDING``: the free catch would
+    exceed the recommendation, and deviation costs shape an agreed total
+    above ``BOUNDARY_TOL``.  ``SHUTDOWN_UNPROFITABLE``: even the free catch
+    is at most ``BOUNDARY_TOL``.  ``SHUTDOWN_RESTRICTED``: the free catch is
+    larger, but deviation costs pull the agreed total down to at most
+    ``BOUNDARY_TOL``; that total need not be exactly 0 (see ``_nash_point``).
+    """
 
     BINDING = "binding"
     NON_BINDING = "non_binding"
@@ -286,6 +296,12 @@ def harvest_level(params: EconParams, x: float, r: float) -> float:
     return _nash_point(params, x, r)[2]
 
 
+# Grid points per row block of harvest_curve.  The block's temporaries (two
+# float and three bool arrays, plus its rows of the result) take about
+# 450 KB, well inside a core's L2 cache.
+_BLOCK_POINTS = 1 << 14
+
+
 def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
     """Negotiated total harvest on the (x, r) grid: the array form of
     :func:`_nash_point`.
@@ -294,6 +310,13 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
     equals the scalar solve bit for bit.  The scalar form stays for
     point-by-point loops, where one numpy call per point would cost
     tens of times more than the solve itself.
+
+    The terms that depend on ``x`` alone are computed once, as columns.
+    The grid is then evaluated a few rows at a time, so that every
+    temporary holds about ``_BLOCK_POINTS`` values and stays in cache; each
+    block's interior harvest is written straight into the result, the
+    non-deviating points overwrite it, and the single-group branches are
+    built only for a block that has a point in neither of those two.
     """
     X = np.asarray(x_values, dtype=float).reshape(-1, 1)
     R = np.asarray(r_values, dtype=float).reshape(1, -1)
@@ -310,22 +333,69 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
     if w == 0.0:
         return np.broadcast_to(free, shape).copy()
 
-    nondev = free <= R + BOUNDARY_TOL
+    r_tol = R + BOUNDARY_TOL
     wx = w * X
-    hb = (0.5 * (b2 * gain1 + b1 * gain2) + wx * R) / (b1 * b2 + wx)
-    excess = hb - R
-    q1i = opt1 - k1 * X * excess / b1
-    q2i = opt2 - k2 * X * excess / b2
+    num = 0.5 * (b2 * gain1 + b1 * gain2)
+    den = b1 * b2 + wx
+    kx1 = k1 * X
+    kx2 = k2 * X
     both = (opt1 >= 0.0) & (opt2 >= 0.0)
-    interior = ~nondev & both & (q1i >= 0.0) & (q2i >= 0.0)
-    solo1 = ~nondev & ~interior & ((opt2 < 0.0) | (both & (q2i < 0.0)))
-    solo2 = ~nondev & ~interior & ((opt1 < 0.0) | (both & (q1i < 0.0)))
-    q1s = np.maximum((gain1 + 2.0 * k1 * X * R) / (2.0 * (b1 + k1 * X)), 0.0)
-    q2s = np.maximum((gain2 + 2.0 * k2 * X * R) / (2.0 * (b2 + k2 * X)), 0.0)
-    return np.where(nondev, np.broadcast_to(free, shape),
-                    np.where(interior, hb,
-                             np.where(solo1, q1s,
-                                      np.where(solo2, q2s, 0.0))))
+
+    out = np.empty(shape)
+    rows = max(1, _BLOCK_POINTS // max(R.size, 1))
+    block = (min(rows, X.size), R.size)
+    q1_buf, q2_buf = np.empty(block), np.empty(block)
+    nondev_buf, interior_buf, settled_buf = (np.empty(block, dtype=bool) for _ in range(3))
+    for lo in range(0, X.size, rows):
+        c = slice(lo, min(lo + rows, X.size))
+        n = c.stop - lo
+        hb, q1, q2 = out[c], q1_buf[:n], q2_buf[:n]
+        nondev, interior, settled = nondev_buf[:n], interior_buf[:n], settled_buf[:n]
+        # interior branch, in the operation order of _nash_point; q2 holds
+        # the excess over the recommendation until q1 is done
+        np.multiply(wx[c], R, out=hb)
+        np.add(num[c], hb, out=hb)
+        np.divide(hb, den[c], out=hb)
+        np.subtract(hb, R, out=q2)
+        np.multiply(kx1[c], q2, out=q1)
+        np.divide(q1, b1, out=q1)
+        np.subtract(opt1[c], q1, out=q1)
+        np.multiply(kx2[c], q2, out=q2)
+        np.divide(q2, b2, out=q2)
+        np.subtract(opt2[c], q2, out=q2)
+
+        np.less_equal(free[c], r_tol, out=nondev)
+        np.greater_equal(q1, 0.0, out=interior)
+        np.greater_equal(q2, 0.0, out=settled)
+        np.logical_and(interior, settled, out=interior)
+        np.logical_and(interior, both[c], out=interior)
+        np.copyto(hb, free[c], where=nondev)
+        np.logical_or(nondev, interior, out=settled)
+        if settled.all():
+            continue
+
+        # Points that are neither non-deviating nor interior: one group
+        # fishes alone where the other's interior quota (or free optimum) is
+        # negative; group 1 is written last, so it wins where both qualify.
+        # Each group's mask and quota reuse spent buffers, the quota the one
+        # that held the other group's interior quota.
+        rest = np.logical_not(settled, out=settled)
+        np.copyto(hb, 0.0, where=rest)
+        for solo, q, opt_other, gain, kx, b, k in (
+                (nondev, q1, opt1, gain2, kx2, b2, k2),
+                (interior, q2, opt2, gain1, kx1, b1, k1)):
+            np.less(q, 0.0, out=solo)
+            np.logical_and(solo, both[c], out=solo)
+            np.logical_or(solo, opt_other[c] < 0.0, out=solo)
+            np.logical_and(solo, rest, out=solo)
+            if not solo.any():
+                continue
+            np.multiply(2.0 * k * X[c], R, out=q)
+            np.add(gain[c], q, out=q)
+            np.divide(q, 2.0 * (b + kx[c]), out=q)
+            np.maximum(q, 0.0, out=q)
+            np.copyto(hb, q, where=solo)
+    return out
 
 
 def profit(params: EconParams, group: int, q_own: float, q_other: float,

@@ -40,6 +40,7 @@ from .viability import (
 )
 
 __all__ = [
+    "MAX_STEPS",
     "StrategySettings",
     "SimConfig",
     "Sample",
@@ -55,6 +56,13 @@ __all__ = [
 # keeps an exactly-on-the-floor trajectory from flickering events.
 _VIABILITY_TOL = 1e-9
 _BINDING_TOL = 1e-12
+
+# Step budget of one simulation, horizon / dt: 50 times the 20,000 steps of
+# the shipped scenarios.  A run that long takes several seconds, and at
+# record_stride 1 its samples take about 265 MB (measured on canonical.ini);
+# a larger horizon / dt is refused when the configuration is built, before
+# anything is allocated.
+MAX_STEPS = 1_000_000
 
 EVENT_VIOLATION = "ViabilityViolation"
 EVENT_RECOVERY = "ViabilityRecovery"
@@ -116,6 +124,10 @@ class SimConfig:
             raise ValueError("horizon must cover at least one control interval")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
+        steps = self.horizon / self.dt
+        if not steps <= MAX_STEPS:
+            raise ValueError(f"horizon / dt is {steps:.6g} steps, above the "
+                             f"budget of {MAX_STEPS} steps")
 
 
 class Sample(NamedTuple):

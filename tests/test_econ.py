@@ -20,7 +20,7 @@ from quotavia import (
     total_harvest,
     unmanaged_harvest,
 )
-from quotavia.econ import _nash_point, harvest_level
+from quotavia.econ import BOUNDARY_TOL, _nash_point, harvest_curve, harvest_level
 
 
 def test_econ_params_validation():
@@ -162,6 +162,8 @@ class TestTotalHarvest:
             if out.regime is Regime.NON_BINDING:
                 assert out.h == pytest.approx(
                     realized_unmanaged_harvest(params, x), abs=1e-12)
+            # no restricted shutdown occurs in this draw; one may land a
+            # harvest up to BOUNDARY_TOL (test_restricted_shutdown_lands_within_tolerance)
             if out.regime in (Regime.SHUTDOWN_UNPROFITABLE, Regime.SHUTDOWN_RESTRICTED):
                 assert out.h == 0.0
 
@@ -184,6 +186,15 @@ class TestTotalHarvest:
         *_, h, regime = _nash_point(params, 1 + 4e-12, 0.0)
         assert regime is Regime.SHUTDOWN_RESTRICTED
         assert 0.0 < h <= 1e-12
+
+    def test_restricted_shutdown_lands_within_tolerance(self):
+        # a restricted shutdown lands at most BOUNDARY_TOL, not exactly 0,
+        # through the public solve and the array kernel alike
+        params = EconParams(1, 1, 1, 1, 1e6, 1e6, 1)
+        out = total_harvest(params, 1 + 4e-12, 0.0)
+        assert out.regime is Regime.SHUTDOWN_RESTRICTED
+        assert 0.0 <= out.h <= BOUNDARY_TOL
+        assert harvest_curve(params, [1 + 4e-12], [0.0])[0, 0] == out.h
 
 
 

@@ -86,6 +86,16 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(initial_stock=0.0, settings=settings())
 
+    def test_step_budget(self):
+        # validation only: no configuration here is simulated
+        at_budget = SimConfig(initial_stock=1.0, settings=settings(), dt=0.5,
+                              horizon=0.5 * engine.MAX_STEPS, control_interval=0.5)
+        assert at_budget.horizon / at_budget.dt == engine.MAX_STEPS
+        for dt, horizon in ((0.5, 0.5 * (engine.MAX_STEPS + 1)), (1e-300, 1.0)):
+            with pytest.raises(ValueError, match="horizon / dt"):
+                SimConfig(initial_stock=1.0, settings=settings(), dt=dt,
+                          horizon=horizon, control_interval=dt)
+
 
 @pytest.fixture(scope="module")
 def conservative_record(symmetric_params, logistic, floors):

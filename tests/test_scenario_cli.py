@@ -82,6 +82,16 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=re.escape(field)):
             ScenarioConfig.from_text(text)
 
+    def test_step_budget_rejected(self, canonical):
+        # validation only: 200 / 1e-4 = 2e6 steps is above MAX_STEPS
+        text = canonical.to_text().replace("dt = 0.01", "dt = 0.0001")
+        with pytest.raises(ConfigError, match=r"\[simulation\]: horizon / dt"):
+            ScenarioConfig.from_text(text)
+        for field, value in (("simulation.horizon", 1e9), ("simulation.dt", "1e-9")):
+            section, key = field.split(".")
+            with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: horizon / dt"):
+                canonical.with_overrides({field: value})
+
     def test_zero_horizon_rejected(self, canonical):
         text = canonical.to_text().replace("horizon = 200.0", "horizon = 0.0")
         with pytest.raises(ConfigError, match="simulation"):

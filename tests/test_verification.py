@@ -1,9 +1,12 @@
 """Reduced-scale runs of the randomized cross-verification suites."""
 
-import numpy as np
+import hashlib
 
-from quotavia import EconParams, ViabilityBounds
-from quotavia.econ import harvest_curve, harvest_level
+import numpy as np
+import pytest
+
+from quotavia import EconParams, Recruitment, ViabilityBounds
+from quotavia.econ import BOUNDARY_TOL, _nash_point, harvest_curve, unmanaged_harvest
 from quotavia.verification import (
     monotonicity_suite,
     nash_agreement_suite,
@@ -14,18 +17,77 @@ from quotavia.verification import (
 )
 
 
+def _scalar_grid(params, xs, rs):
+    return np.array([[_nash_point(params, float(x), float(r))[2] for r in rs] for x in xs])
+
+
+def _free_catch(params, x):
+    """The free catch as the kernel computes it; like ``np.maximum``,
+    ``max(nan, 0.0)`` keeps a NaN, so a NaN stock has no defined free catch."""
+    opt1 = (params.price * x - params.alpha_1) / (2.0 * params.beta_1)
+    opt2 = (params.price * x - params.alpha_2) / (2.0 * params.beta_2)
+    return max(opt1, 0.0) + max(opt2, 0.0)
+
+
+def _branch(params, x, r):
+    """Which branch of the negotiation sets the harvest at (x, r)."""
+    if params.unmanaged or _free_catch(params, x) <= r + BOUNDARY_TOL:
+        return "non-deviating"
+    q1, q2, h, _ = _nash_point(params, x, r)
+    if not h > 0.0:
+        return "zero"
+    if q1 > 0.0 and q2 > 0.0:
+        return "interior"
+    return "solo-1" if q2 == 0.0 else "solo-2"
+
+
 def test_harvest_curve_matches_scalar_solve():
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(200):
+    seen = set()
+    for i in range(200):
         params = EconParams(*np.exp(rng.uniform(np.log(0.1), np.log(10), 7)))
         xs = np.exp(rng.uniform(np.log(0.1), np.log(10), 4))
+        if i % 50 == 0:
+            # a NaN stock falls through every branch of the kernel to 0.0,
+            # as the scalar solve, which finds no free catch, lands at 0.0
+            xs[0] = np.nan
         rs = rng.uniform(0.0, 6.0, 5)
+        # on the boundary of the non-deviating branch, free == r + BOUNDARY_TOL
+        rs[0] = max(_free_catch(params, float(xs[1])) - BOUNDARY_TOL, 0.0)
         grid = harvest_curve(params, xs, rs)
-        for i, x in enumerate(xs):
-            for j, r in enumerate(rs):
-                worst = max(worst, abs(grid[i, j] - harvest_level(params, float(x), float(r))))
-    assert worst == 0.0
+        assert grid.tobytes() == _scalar_grid(params, xs, rs).tobytes()
+        seen.update(_branch(params, float(x), float(r)) for x in xs for r in rs)
+    assert seen == {"non-deviating", "interior", "solo-1", "solo-2", "zero"}
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (11, 4096),     # several row blocks, the last one short
+    (37, 1000),
+    (1, 4096),
+    (4096, 1),
+    (1, 1),
+])
+@pytest.mark.parametrize("kappas", [(2.0, 0.3), (0.0, 0.0)], ids=["managed", "unmanaged"])
+def test_harvest_curve_grid_shapes(rows, cols, kappas):
+    params = EconParams(0.5, 3.0, 1.0, 0.4, *kappas, 1.5)
+    rng = np.random.default_rng(rows * cols)
+    xs = np.exp(rng.uniform(np.log(0.5), np.log(8.0), rows))
+    rs = rng.permutation(np.linspace(0.0, 8.0, cols))
+    grid = harvest_curve(params, xs, rs)
+    assert grid.shape == (rows, cols)
+    assert grid.tobytes() == _scalar_grid(params, xs, rs).tobytes()
+
+
+def test_harvest_curve_bytes_are_pinned():
+    # the 65 x 4096 grid viability_existence_search builds, with asymmetric
+    # costs so that every block has interior, non-deviating and solo points
+    params = EconParams(0.5, 3.0, 1.0, 0.4, 2.0, 0.3, 1.5)
+    rec = Recruitment(1.0, 2.0)
+    x_lo = 1.0
+    rs = np.linspace(0.0, 3.0 * max(unmanaged_harvest(params, x_lo), 1.0), 4096)
+    xs = np.concatenate(([x_lo], np.linspace(x_lo, 4.0 * rec.capacity, 65)[1:]))
+    digest = hashlib.sha256(harvest_curve(params, xs, rs).tobytes()).hexdigest()
+    assert digest == "e8c48cf5e5f5b2252cb39a4eda2bcf226ead5a364cafb07ae761dd51e0171279"
 
 
 def test_existence_search_canonical(symmetric_params, logistic, floors):
