@@ -14,17 +14,15 @@ from .econ import (
     binding_harvest,
     profit,
     realized_unmanaged_harvest,
-    recruitment,
     total_harvest,
     unmanaged_harvest,
 )
-from .oracle import OracleConfig, OracleResult, best_response, equilibrium
+from .oracle import OracleResult, best_response, equilibrium
 from .viability import (
     CaseOrder,
     CriticalLevels,
     Maturity,
     Region,
-    RegionLabel,
     ViabilityBounds,
     ViabilityVerdict,
     catch_within_recruitment_flags,

@@ -36,13 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _fmt(value: float | str) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
-    if hasattr(value, "value"):
-        return str(value.value)
     return str(value)
 
 
@@ -107,12 +103,6 @@ def _cmd_check(args) -> int:
     return 0 if verdict.viable else 2
 
 
-def _out_dir(args) -> str:
-    directory = args.out
-    os.makedirs(directory, exist_ok=True)
-    return directory
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config)
     inputs = _simulation_inputs(cfg)
@@ -164,12 +154,12 @@ def _cmd_phase(args) -> int:
     cfg = _load(args.config)
     _require_deviation_costs(cfg, "phase")
     xs, rs = _parse_grid(args.grid)
-    out_dir = _out_dir(args)
+    os.makedirs(args.out, exist_ok=True)
     rows = (_PHASE_ROW % (x, r, h, regime._value_, sign, unmanaged, ceiling, floor,
                           region._value_)
             for x, r, h, regime, sign, unmanaged, ceiling, floor, region
             in phase_rows(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
-    _write_csv(os.path.join(out_dir, "phase_grid.csv"),
+    _write_csv(os.path.join(args.out, "phase_grid.csv"),
                ["x", "r", "h", "regime", "sign_growth_minus_harvest",
                 "unmanaged_harvest", "recommendation_ceiling",
                 "recommendation_floor", "region"],
@@ -182,7 +172,7 @@ def _cmd_phase(args) -> int:
         "case_order": levels.case_order.value,
         "stock_floor": cfg.bounds.stock_floor,
     }
-    with open(os.path.join(out_dir, "phase_levels.json"), "w",
+    with open(os.path.join(args.out, "phase_levels.json"), "w",
               encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -240,11 +230,11 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--axes: {cells} cells exceeds the {_MAX_SWEEP_CELLS} limit")
     # validate axis fields and first values up front: a bad one is a config error
     _simulation_inputs(cfg.with_overrides({field: values[0] for field, values in axes}))
-    out_dir = _out_dir(args)
+    os.makedirs(args.out, exist_ok=True)
 
     rows = [_sweep_row(cell) for cell in
             sweep(lambda overrides: _simulation_inputs(cfg.with_overrides(overrides)), axes)]
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
+    _write_csv(os.path.join(args.out, "sweep.csv"),
                [*(field for field, _ in axes), "verdict", "first_violation_time",
                 "terminal_x", "mean_h"],
                rows)

@@ -35,24 +35,25 @@ class Strategy(Enum):
 class Observation:
     """What a controller may see at a decision point.
 
-    The qualitative rules read only ``trend_sign``, the harvest/floor
-    comparison and the binding flag.  ``stock`` is carried for strategies
-    whose information model includes exact stock estimates and is ``None``
-    otherwise, which makes the information firewall structural.
+    The sign of the stock trend, the realized harvest (compared against the
+    harvest floor) and whether the recommendation binds.  The stock is not
+    among the fields, so no rule can read it: the information firewall is
+    structural.
     """
 
     trend_sign: int
     harvest: float
-    recommendation: float
     binding: bool
-    stock: float | None = None
 
 
 @dataclass
 class ControllerState:
-    """Mutable state of one controller, owned by a single simulation run."""
+    """Mutable state of one controller, owned by a single simulation run.
 
-    strategy: Strategy
+    Its settings are validated where a scenario sets them, in
+    ``engine.StrategySettings``.
+    """
+
     recommendation: float = 0.0
     maturity: Maturity = Maturity.EMERGING
     moratorium: bool = False
@@ -60,16 +61,6 @@ class ControllerState:
     floor_step: float = 0.0         # additive minimum increase, lets r leave 0
     exit_intervals: int = 5         # growing intervals needed to lift a moratorium
     growth_streak: int = 0
-
-    def __post_init__(self) -> None:
-        if self.recommendation < 0.0:
-            raise ValueError("recommendation must be non-negative")
-        if not self.rate > 0.0:
-            raise ValueError("rate must be positive")
-        if self.floor_step < 0.0:
-            raise ValueError("floor_step must be non-negative")
-        if self.exit_intervals < 1:
-            raise ValueError("exit_intervals must be at least 1")
 
 
 def ichthyocentric_recommend(rec: Recruitment, x: float) -> float:

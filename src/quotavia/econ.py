@@ -27,7 +27,6 @@ __all__ = [
     "DerivedCoeffs",
     "Recruitment",
     "NegotiationOutcome",
-    "recruitment",
     "unmanaged_harvest",
     "realized_unmanaged_harvest",
     "binding_harvest",
@@ -171,13 +170,6 @@ def _require_recommendation(r: float) -> None:
         raise ValueError("recommendation must be non-negative")
 
 
-def recruitment(rec: Recruitment, x: float) -> float:
-    """Growth rate of the stock at biomass ``x`` (non-negative domain)."""
-    if x < 0.0:
-        raise ValueError("stock must be non-negative")
-    return rec.rate(x)
-
-
 def unmanaged_harvest(params: EconParams, x: float) -> float:
     """Total catch the two groups would agree on with zero deviation costs.
 
@@ -290,7 +282,9 @@ def total_harvest(params: EconParams, x: float, r: float) -> NegotiationOutcome:
 
 
 def harvest_level(params: EconParams, x: float, r: float) -> float:
-    """Total negotiated harvest only; fast path for tight simulation loops."""
+    """Total negotiated harvest only, with the input checks of
+    :func:`total_harvest`; for point-by-point searches that need no quotas
+    or regime tag."""
     _require_stock(x)
     _require_recommendation(r)
     return _nash_point(params, x, r)[2]
@@ -327,11 +321,13 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
     gain2 = p * X - params.alpha_2
     opt1 = gain1 / (2.0 * b1)
     opt2 = gain2 / (2.0 * b2)
-    free = np.maximum(opt1, 0.0) + np.maximum(opt2, 0.0)
+    # as in _nash_point: a negative or NaN optimum adds 0; a free catch <= BOUNDARY_TOL lands 0
+    free = np.where(opt1 > 0.0, opt1, 0.0) + np.where(opt2 > 0.0, opt2, 0.0)
+    landed = np.where(free > BOUNDARY_TOL, free, 0.0)
     w = b1 * k2 + b2 * k1
     shape = (X.size, R.size)
     if w == 0.0:
-        return np.broadcast_to(free, shape).copy()
+        return np.broadcast_to(landed, shape).copy()
 
     r_tol = R + BOUNDARY_TOL
     wx = w * X
@@ -369,7 +365,7 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
         np.greater_equal(q2, 0.0, out=settled)
         np.logical_and(interior, settled, out=interior)
         np.logical_and(interior, both[c], out=interior)
-        np.copyto(hb, free[c], where=nondev)
+        np.copyto(hb, landed[c], where=nondev)
         np.logical_or(nondev, interior, out=settled)
         if settled.all():
             continue
@@ -393,7 +389,7 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
             np.multiply(2.0 * k * X[c], R, out=q)
             np.add(gain[c], q, out=q)
             np.divide(q, 2.0 * (b + kx[c]), out=q)
-            np.maximum(q, 0.0, out=q)
+            np.logical_and(solo, q > 0.0, out=solo)  # else the 0.0 written above
             np.copyto(hb, q, where=solo)
     return out
 

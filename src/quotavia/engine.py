@@ -90,11 +90,12 @@ class StrategySettings:
     initial_maturity: Maturity = Maturity.EMERGING
     initial_trend: int | None = None
     moratorium_exit_intervals: int = 5
-    trend_deadband: float | None = None      # None -> 1e-6 * capacity
 
     def __post_init__(self) -> None:
         if not self.rate > 0.0:
             raise ValueError("rate must be positive")
+        if self.floor_step is not None and not self.floor_step >= 0.0:
+            raise ValueError("floor_step must be non-negative")
         if self.initial_recommendation is not None and self.initial_recommendation < 0.0:
             raise ValueError("initial_recommendation must be non-negative")
         if self.moratorium_exit_intervals < 1:
@@ -201,18 +202,6 @@ def _rk4(rhs: Callable[[float], float], x: float, dt: float, k1: float) -> float
     return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
-def _initial_recommendation(params: EconParams, rec: Recruitment,
-                            bounds: ViabilityBounds, settings: StrategySettings,
-                            x: float) -> float:
-    if settings.strategy is Strategy.ICHTHYOCENTRIC:
-        return ichthyocentric_recommend(rec, x)
-    if settings.strategy is Strategy.CONSERVATIVE:
-        return conservative_recommend(params, bounds, x)
-    if settings.initial_recommendation is not None:
-        return settings.initial_recommendation
-    return 0.5 * realized_unmanaged_harvest(params, x)
-
-
 def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
              cfg: SimConfig) -> TrajectoryRecord:
     """Run one closed-loop trajectory.
@@ -226,24 +215,9 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     dt = cfg.dt
     per_control = round(cfg.control_interval / dt)
     n_steps = round(cfg.horizon / dt)
-    deadband = (settings.trend_deadband if settings.trend_deadband is not None
-                else 1e-6 * rec.capacity)
+    deadband = 1e-6 * rec.capacity  # a smaller decline reads as growing
     floor_step = (settings.floor_step if settings.floor_step is not None
                   else 1e-3 * rec.peak_rate)
-
-    state = ControllerState(
-        strategy=settings.strategy,
-        recommendation=_initial_recommendation(params, rec, bounds, settings, cfg.initial_stock),
-        maturity=settings.initial_maturity,
-        rate=settings.rate,
-        floor_step=floor_step,
-        exit_intervals=settings.moratorium_exit_intervals,
-    )
-
-    try:
-        verdict = check_viability_domain(params, rec, bounds)
-    except ValueError:
-        verdict = None  # unmanaged fishery has no threshold curves
 
     events: list[Event] = []
     samples: list[Sample] = []
@@ -251,18 +225,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     extinct = False
     trend = settings.initial_trend if settings.initial_trend is not None else 1
     prev_control_x = x
-
-    def observe(t: float) -> Observation:
-        q1, q2, h, _ = _nash_point(params, x, state.recommendation)
-        if state.moratorium or extinct:
-            h = 0.0
-        return Observation(
-            trend_sign=trend,
-            harvest=h,
-            recommendation=state.recommendation,
-            binding=h + _BINDING_TOL >= state.recommendation,
-            stock=x,
-        )
+    qualitative = settings.strategy is Strategy.QUALITATIVE
 
     def control_update(t: float) -> None:
         if settings.strategy is Strategy.ICHTHYOCENTRIC:
@@ -270,16 +233,38 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         elif settings.strategy is Strategy.CONSERVATIVE:
             state.recommendation = conservative_recommend(params, bounds, x)
         else:
+            h = _nash_point(params, x, state.recommendation)[2]
+            if state.moratorium or extinct:
+                h = 0.0
+            obs = Observation(trend, h, h + _BINDING_TOL >= state.recommendation)
             was_moratorium = state.moratorium
-            qualitative_step(state, observe(t), bounds)
+            qualitative_step(state, obs, bounds)
             if state.moratorium and not was_moratorium:
                 events.append(Event(t, EVENT_MORATORIUM_START))
             elif was_moratorium and not state.moratorium:
                 events.append(Event(t, EVENT_MORATORIUM_END))
 
+    state = ControllerState(
+        maturity=settings.initial_maturity,
+        rate=settings.rate,
+        floor_step=floor_step,
+        exit_intervals=settings.moratorium_exit_intervals,
+    )
+    if not qualitative:
+        control_update(0.0)
+    elif settings.initial_recommendation is not None:
+        state.recommendation = settings.initial_recommendation
+    else:
+        state.recommendation = 0.5 * realized_unmanaged_harvest(params, x)
+
+    try:
+        verdict = check_viability_domain(params, rec, bounds)
+    except ValueError:
+        verdict = None  # unmanaged fishery has no threshold curves
+
     # A seeded trend is pre-model history: the qualitative controller then
     # decides already at t = 0.
-    if settings.strategy is Strategy.QUALITATIVE and settings.initial_trend is not None:
+    if qualitative and settings.initial_trend is not None:
         control_update(0.0)
 
     # Recruitment.rate spelled out: the same operations, without a method
@@ -322,7 +307,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
 
         if k == 0 or decides:
             new_region = classify_region(trend, 1 if h_x >= bounds.harvest_floor else -1,
-                                         h_x + _BINDING_TOL >= r, state.maturity).region
+                                         h_x + _BINDING_TOL >= r)
             if k > 0 and new_region is not region:
                 events.append(Event(t, EVENT_REGION,
                                     {"from": region.value, "to": new_region.value}))

@@ -3,11 +3,14 @@
 Best-response iteration with a grid scan plus golden-section refinement per
 response.  Serves as the ground-truth oracle for the closed forms in
 :mod:`quotavia.econ`; it never calls them.
+
+The search settings are fixed: a 96-point quota scan on ``[0, q_max]``,
+``q_max`` sized per instance to hold every group's unconstrained optimum,
+golden-section refinement to 1e-10, and at most 400 sweeps to 1e-8.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -16,38 +19,16 @@ import numpy as np
 
 from .econ import EconParams, profit
 
-__all__ = ["OracleConfig", "OracleResult", "best_response", "equilibrium"]
+__all__ = ["OracleResult", "best_response", "equilibrium"]
 
 logger = logging.getLogger(__name__)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Search settings for the best-response oracle.
-
-    ``q_max = None`` sizes the quota search interval per instance so every
-    group's unconstrained optimum lies strictly inside it.
-    """
-
-    q_max: float | None = None
-    resolution: int = 96
-    tolerance: float = 1e-8        # outer fixed-point tolerance
-    max_iterations: int = 400
-    inner_tolerance: float = 1e-10  # golden-section quota tolerance
-
-    def __post_init__(self) -> None:
-        if self.q_max is not None and not self.q_max > 0.0:
-            raise ValueError("q_max must be positive")
-        if self.resolution < 64:
-            raise ValueError("resolution must be at least 64")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 10:
-            raise ValueError("max_iterations must be at least 10")
-        if not self.inner_tolerance > 0.0:
-            raise ValueError("inner_tolerance must be positive")
+_RESOLUTION = 96          # quota grid points per best-response scan
+_TOLERANCE = 1e-8         # outer fixed-point tolerance
+_MAX_ITERATIONS = 400
+_INNER_TOLERANCE = 1e-10  # golden-section quota tolerance
 
 
 @dataclass(frozen=True)
@@ -56,7 +37,7 @@ class OracleResult:
 
     ``residual`` is the last sweep's quota movement normalized by the quota
     scale (floored at 1), so ``converged`` always means
-    ``residual <= tolerance`` regardless of the instance's magnitude.
+    ``residual < 1e-8`` regardless of the instance's magnitude.
     """
 
     q_1: float
@@ -90,7 +71,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 
 
 def best_response(params: EconParams, group: int, q_other: float, x: float,
-                  r: float, cfg: OracleConfig = OracleConfig()) -> float:
+                  r: float) -> float:
     """Most profitable own quota in ``[0, q_max]`` for a fixed rival quota.
 
     Coarse grid scan to bracket the maximum of the concave profit, then
@@ -102,21 +83,21 @@ def best_response(params: EconParams, group: int, q_other: float, x: float,
         raise ValueError("stock must be positive")
     if q_other < 0.0:
         raise ValueError("rival quota must be non-negative")
-    q_max = cfg.q_max if cfg.q_max is not None else _auto_q_max(params, x)
+    q_max = _auto_q_max(params, x)
     if group == 1:
         alpha, beta, kappa = params.alpha_1, params.beta_1, params.kappa_1
     else:
         alpha, beta, kappa = params.alpha_2, params.beta_2, params.kappa_2
 
-    grid = np.linspace(0.0, q_max, cfg.resolution)
+    grid = np.linspace(0.0, q_max, _RESOLUTION)
     over = np.maximum(grid + q_other - r, 0.0)
     profits = params.price * grid - (alpha * grid + beta * grid * grid) / x - kappa * over * over
     best = int(np.argmax(profits))
 
     lo = grid[best - 1] if best > 0 else grid[0]
-    hi = grid[best + 1] if best < cfg.resolution - 1 else grid[-1]
+    hi = grid[best + 1] if best < _RESOLUTION - 1 else grid[-1]
     own = lambda q: profit(params, group, q, q_other, x, r)
-    candidate = _golden_max(own, lo, hi, cfg.inner_tolerance)
+    candidate = _golden_max(own, lo, hi, _INNER_TOLERANCE)
     # One parabolic vertex fit with samples spaced above the float noise of
     # the flat profit peak; golden section alone stalls there on large quotas.
     spacing = 1e-5 * max(1.0, candidate)
@@ -145,8 +126,7 @@ def _aitken(x0: float, x1: float, x2: float, hi: float) -> float:
     return min(max(accel, 0.0), hi)
 
 
-def equilibrium(params: EconParams, x: float, r: float,
-                cfg: OracleConfig = OracleConfig()) -> OracleResult:
+def equilibrium(params: EconParams, x: float, r: float) -> OracleResult:
     """Alternating best-response iteration from (0, 0).
 
     The contraction factor degrades when deviation weights dominate cost
@@ -158,20 +138,19 @@ def equilibrium(params: EconParams, x: float, r: float,
         raise ValueError("stock must be positive")
     if r < 0.0:
         raise ValueError("recommendation must be non-negative")
-    q_max = cfg.q_max if cfg.q_max is not None else _auto_q_max(params, x)
-    cfg = dataclasses.replace(cfg, q_max=q_max)
+    q_max = _auto_q_max(params, x)
 
     q1 = q2 = 0.0
     history: list[tuple[float, float]] = []
     residual = math.inf
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        n1 = best_response(params, 1, q2, x, r, cfg)
-        n2 = best_response(params, 2, n1, x, r, cfg)
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        n1 = best_response(params, 1, q2, x, r)
+        n2 = best_response(params, 2, n1, x, r)
         scale = max(1.0, abs(n1), abs(n2))
         residual = max(abs(n1 - q1), abs(n2 - q2)) / scale
         q1, q2 = n1, n2
-        if residual < cfg.tolerance:
+        if residual < _TOLERANCE:
             return OracleResult(float(q1), float(q2), True, iterations, residual)
         history.append((q1, q2))
         if len(history) >= 3 and iterations % 8 == 0:

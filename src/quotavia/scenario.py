@@ -12,6 +12,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, replace
+from enum import Enum
 
 from .control import Strategy
 from .econ import EconParams, Recruitment
@@ -33,6 +34,7 @@ class OutputSettings:
 
 
 _TRENDS = {"": None, "none": None, "growing": 1, "declining": -1}
+_TREND_NAMES = {None: "none", 1: "growing", -1: "declining"}
 
 # section -> key -> (parser, required)
 _SCHEMA: dict[str, dict[str, tuple]] = {
@@ -90,9 +92,13 @@ class ScenarioConfig:
     econ: EconParams
     recruitment: Recruitment
     bounds: ViabilityBounds
-    strategy: StrategySettings
     simulation: SimConfig
     output: OutputSettings = OutputSettings()
+
+    @property
+    def strategy(self) -> StrategySettings:
+        """The ``[strategy]`` section, held by the simulation settings."""
+        return self.simulation.settings
 
     @classmethod
     def from_text(cls, text: str) -> "ScenarioConfig":
@@ -129,8 +135,6 @@ class ScenarioConfig:
         def wrap(section: str, factory):
             try:
                 return factory()
-            except ConfigError:
-                raise
             except ValueError as exc:
                 raise ConfigError(f"[{section}]: {exc}") from None
 
@@ -163,44 +167,25 @@ class ScenarioConfig:
             settings=settings, **values["simulation"]))
         output = OutputSettings(**values.get("output", {}))
         return cls(econ=econ, recruitment=recruitment, bounds=bounds,
-                   strategy=settings, simulation=simulation, output=output)
+                   simulation=simulation, output=output)
 
     def to_text(self) -> str:
-        """Canonical serialization: fixed order, every key explicit."""
-        s = self.strategy
-        sim = self.simulation
-        trend = {None: "none", 1: "growing", -1: "declining"}[s.initial_trend]
-        sections = [
-            ("econ", [(k, repr(getattr(self.econ, k))) for k in
-                      ("alpha_1", "alpha_2", "beta_1", "beta_2",
-                       "kappa_1", "kappa_2", "price")]),
-            ("recruitment", [("growth", repr(self.recruitment.growth)),
-                             ("capacity", repr(self.recruitment.capacity))]),
-            ("bounds", [("stock_floor", repr(self.bounds.stock_floor)),
-                        ("harvest_floor", repr(self.bounds.harvest_floor))]),
-            ("strategy", [
-                ("name", s.strategy.value),
-                ("rate", repr(s.rate)),
-                *([("floor_step", repr(s.floor_step))] if s.floor_step is not None else []),
-                *([("initial_recommendation", repr(s.initial_recommendation))]
-                  if s.initial_recommendation is not None else []),
-                ("initial_maturity", s.initial_maturity.value),
-                ("initial_trend", trend),
-                ("moratorium_exit_intervals", str(s.moratorium_exit_intervals)),
-            ]),
-            ("simulation", [("initial_stock", repr(sim.initial_stock)),
-                            ("dt", repr(sim.dt)),
-                            ("horizon", repr(sim.horizon)),
-                            ("control_interval", repr(sim.control_interval)),
-                            ("record_stride", str(sim.record_stride))]),
-            ("output", [("directory", self.output.directory),
-                        ("trajectory_file", self.output.trajectory_file),
-                        ("events_file", self.output.events_file)]),
-        ]
+        """Canonical serialization: the keys of ``_SCHEMA`` in its order,
+        every set value explicit."""
         buffer = io.StringIO()
-        for title, items in sections:
-            buffer.write(f"[{title}]\n")
-            for key, value in items:
+        for section, keys in _SCHEMA.items():
+            buffer.write(f"[{section}]\n")
+            fields = getattr(self, section)
+            for key, (kind, _) in keys.items():
+                value = getattr(fields, "strategy" if key == "name" else key)
+                if key == "initial_trend":
+                    value = _TREND_NAMES[value]
+                elif value is None:
+                    continue
+                elif isinstance(value, Enum):
+                    value = value.value
+                elif kind is float:
+                    value = repr(value)
                 buffer.write(f"{key} = {value}\n")
             buffer.write("\n")
         return buffer.getvalue()
@@ -228,31 +213,16 @@ class ScenarioConfig:
         return cfg
 
     def _with_field(self, section: str, key: str, value) -> "ScenarioConfig":
-        if section == "econ":
-            return replace(self, econ=replace(self.econ, **{key: value}))
-        if section == "recruitment":
-            rec = Recruitment(**{**{"growth": self.recruitment.growth,
-                                    "capacity": self.recruitment.capacity}, key: value})
-            return replace(self, recruitment=rec)
-        if section == "bounds":
-            return replace(self, bounds=replace(self.bounds, **{key: value}))
         if section == "strategy":
             if key == "name":
-                value = Strategy(value)
-                strategy = replace(self.strategy, strategy=value)
+                key, value = "strategy", Strategy(value)
             elif key == "initial_maturity":
-                strategy = replace(self.strategy, initial_maturity=Maturity(value))
-            elif key == "initial_trend":
-                if isinstance(value, str):
-                    value = _TRENDS[value.lower()]
-                strategy = replace(self.strategy, initial_trend=value)
-            else:
-                strategy = replace(self.strategy, **{key: value})
-            simulation = replace(self.simulation, settings=strategy)
-            return replace(self, strategy=strategy, simulation=simulation)
-        if section == "simulation":
-            return replace(self, simulation=replace(self.simulation, **{key: value}))
-        return replace(self, output=replace(self.output, **{key: value}))
+                value = Maturity(value)
+            elif key == "initial_trend" and isinstance(value, str):
+                value = _TRENDS[value.lower()]
+            section, key, value = ("simulation", "settings",
+                                   replace(self.strategy, **{key: value}))
+        return replace(self, **{section: replace(getattr(self, section), **{key: value})})
 
     def build(self) -> tuple[EconParams, Recruitment, ViabilityBounds, SimConfig]:
         return self.econ, self.recruitment, self.bounds, self.simulation

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .econ import (
-    BOUNDARY_TOL,
     EconParams,
     Recruitment,
     binding_harvest,
@@ -52,6 +51,13 @@ __all__ = [
 DEFAULT_SEED = 1729
 
 _MARGIN_EPS = 1e-6  # instances closer than this to a condition boundary are resampled
+
+# viability_existence_search grid: recommendations at the stock floor, and
+# stocks above it up to _X_SPAN times the capacity
+_R_POINTS = 4096
+_X_POINTS = 64
+_X_SPAN = 4.0
+_INTERIOR_ATTEMPTS = 64  # parameter draws per _interior_params call
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,8 @@ def _biased_params(rng: np.random.Generator, x: float) -> EconParams | None:
     return EconParams(a1, a2, b1, b2, k1, k2, p)
 
 
-def _interior_params(rng: np.random.Generator, x: float,
-                     attempts: int = 64) -> EconParams | None:
-    for _ in range(attempts):
+def _interior_params(rng: np.random.Generator, x: float) -> EconParams | None:
+    for _ in range(_INTERIOR_ATTEMPTS):
         params = _biased_params(rng, x)
         if params is not None and _interior_negotiation(params, x):
             return params
@@ -127,8 +132,7 @@ def _interior_negotiation(params: EconParams, x: float) -> bool:
 
 
 def viability_existence_search(params: EconParams, rec: Recruitment,
-                               bounds: ViabilityBounds, r_points: int = 4096,
-                               x_points: int = 64, span: float = 4.0) -> bool:
+                               bounds: ViabilityBounds) -> bool:
     """Brute-force counterpart of the viability-domain conditions.
 
     At the stock floor, scan a recommendation grid for a harvest that clears
@@ -138,8 +142,8 @@ def viability_existence_search(params: EconParams, rec: Recruitment,
     """
     x_lo, h_lo = bounds.stock_floor, bounds.harvest_floor
     r_top = 3.0 * max(unmanaged_harvest(params, x_lo), 1.0)
-    r_grid = np.linspace(0.0, r_top, r_points)
-    xs_above = np.linspace(x_lo, span * rec.capacity, x_points + 1)[1:]
+    r_grid = np.linspace(0.0, r_top, _R_POINTS)
+    xs_above = np.linspace(x_lo, _X_SPAN * rec.capacity, _X_POINTS + 1)[1:]
     grid = harvest_curve(params, np.concatenate(([x_lo], xs_above)), r_grid)
 
     ceiling = rec.rate(x_lo)
@@ -162,9 +166,10 @@ def viability_existence_search(params: EconParams, rec: Recruitment,
     return ok_floor and ok_above
 
 
-def nash_agreement_suite(seed: int = DEFAULT_SEED, instances: int = 1000,
-                         rtol: float = 1e-6) -> SuiteReport:
-    """Closed-form negotiation vs best-response oracle on random instances.
+def nash_agreement_suite(seed: int = DEFAULT_SEED,
+                         instances: int = 1000) -> SuiteReport:
+    """Closed-form negotiation vs best-response oracle on random instances,
+    to a relative error of 1e-6.
 
     Also certifies each closed-form point as a Nash point (no profitable
     unilateral perturbation) and checks the harvest cap.
@@ -187,7 +192,7 @@ def nash_agreement_suite(seed: int = DEFAULT_SEED, instances: int = 1000,
             abs(out.q_2 - res.q_2) / max(1.0, abs(out.q_2)),
         )
         max_err = max(max_err, err)
-        bad = (not res.converged) or err > rtol
+        bad = (not res.converged) or err > 1e-6
         for group, own, other in ((1, out.q_1, out.q_2), (2, out.q_2, out.q_1)):
             base = profit(params, group, own, other, x, r)
             for candidate in (own + eps, max(own - eps, 0.0)):

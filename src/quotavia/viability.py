@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 from .econ import (
     EconParams,
@@ -27,7 +26,6 @@ __all__ = [
     "CriticalLevels",
     "Region",
     "Maturity",
-    "RegionLabel",
     "recommendation_ceiling",
     "recommendation_floor",
     "check_viability_domain",
@@ -68,11 +66,6 @@ class Region(Enum):
 class Maturity(Enum):
     EMERGING = "emerging"
     MATURE = "mature"
-
-
-class RegionLabel(NamedTuple):
-    region: Region
-    maturity: Maturity
 
 
 class CaseOrder(Enum):
@@ -169,10 +162,10 @@ def check_viability_domain(params: EconParams, rec: Recruitment,
     )
 
 
-def _bisect(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(200):
-        if hi - lo <= xtol:
+        if hi - lo <= 1e-12:
             break
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
@@ -185,8 +178,8 @@ def _bisect(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def critical_levels(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
-                    search_cap: float | None = None) -> CriticalLevels:
+def critical_levels(params: EconParams, rec: Recruitment,
+                    bounds: ViabilityBounds) -> CriticalLevels:
     """Locate the critical stock levels by bracketed bisection.
 
     The stabilizing ceiling is not monotone in general, so every root is
@@ -194,7 +187,7 @@ def critical_levels(params: EconParams, rec: Recruitment, bounds: ViabilityBound
     roots (e.g. a harvest floor above the recruitment peak) come back as
     ``None`` rather than being silently filled in.
     """
-    cap = search_cap if search_cap is not None else 4.0 * rec.capacity
+    cap = 4.0 * rec.capacity
     tiny = rec.capacity * 1e-12
 
     def floor_minus_unmanaged(x: float) -> float:
@@ -244,8 +237,7 @@ def critical_levels(params: EconParams, rec: Recruitment, bounds: ViabilityBound
                           crossings_below_b=tuple(crossings))
 
 
-def classify_region(trend_sign: int, harvest_sign: int, binding: bool,
-                    maturity: Maturity) -> RegionLabel:
+def classify_region(trend_sign: int, harvest_sign: int, binding: bool) -> Region:
     """Map qualitative observations to a phase region.
 
     ``trend_sign`` / ``harvest_sign`` are the signs of the stock trend and
@@ -254,14 +246,11 @@ def classify_region(trend_sign: int, harvest_sign: int, binding: bool,
     over intervention.  A non-binding recommendation wins over everything.
     """
     if not binding:
-        return RegionLabel(Region.R0_NON_BINDING, maturity)
-    growing = trend_sign >= 0
+        return Region.R0_NON_BINDING
     above = harvest_sign >= 0
-    if growing:
-        region = Region.R1_GROWING_ABOVE_FLOOR if above else Region.R2_GROWING_BELOW_FLOOR
-    else:
-        region = Region.R3_DECLINING_ABOVE_FLOOR if above else Region.R4_DECLINING_BELOW_FLOOR
-    return RegionLabel(region, maturity)
+    if trend_sign >= 0:
+        return Region.R1_GROWING_ABOVE_FLOOR if above else Region.R2_GROWING_BELOW_FLOOR
+    return Region.R3_DECLINING_ABOVE_FLOOR if above else Region.R4_DECLINING_BELOW_FLOOR
 
 
 def recruitment_meets_floor_flags(params: EconParams, rec: Recruitment,
@@ -315,12 +304,7 @@ def phase_rows(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                 sign = 0
             else:
                 sign = 1 if gap > 0.0 else -1
-            binding = out.h + _SIGN_TOL >= r
-            label = classify_region(
-                sign if sign != 0 else 1,
-                1 if out.h >= bounds.harvest_floor else -1,
-                binding,
-                Maturity.MATURE,
-            )
-            yield (x, r, out.h, out.regime, sign, unmanaged, ceiling, floor,
-                   label.region)
+            region = classify_region(sign if sign != 0 else 1,
+                                     1 if out.h >= bounds.harvest_floor else -1,
+                                     out.h + _SIGN_TOL >= r)
+            yield (x, r, out.h, out.regime, sign, unmanaged, ceiling, floor, region)

@@ -9,6 +9,7 @@ from quotavia import (
     Maturity,
     Observation,
     Strategy,
+    StrategySettings,
     conservative_recommend,
     ichthyocentric_recommend,
     qualitative_step,
@@ -16,15 +17,14 @@ from quotavia import (
 
 
 def make_state(**kwargs):
-    defaults = dict(strategy=Strategy.QUALITATIVE, recommendation=0.5,
-                    maturity=Maturity.MATURE, rate=0.1, floor_step=5e-4)
+    defaults = dict(recommendation=0.5, maturity=Maturity.MATURE, rate=0.1,
+                    floor_step=5e-4)
     defaults.update(kwargs)
     return ControllerState(**defaults)
 
 
-def obs(trend=1, harvest=0.6, recommendation=0.5, binding=True, stock=None):
-    return Observation(trend_sign=trend, harvest=harvest,
-                       recommendation=recommendation, binding=binding, stock=stock)
+def obs(trend=1, harvest=0.6, binding=True):
+    return Observation(trend_sign=trend, harvest=harvest, binding=binding)
 
 
 class TestClosedFormLaws:
@@ -44,7 +44,7 @@ class TestClosedFormLaws:
 class TestQualitativeRules:
     def test_non_binding_decreases(self, floors):
         state = make_state(recommendation=1.2)
-        qualitative_step(state, obs(binding=False, recommendation=1.2), floors)
+        qualitative_step(state, obs(binding=False), floors)
         assert state.recommendation == pytest.approx(1.2 / 1.1)
 
     def test_growing_above_floor_increases(self, floors):
@@ -88,7 +88,7 @@ class TestQualitativeRules:
 
     def test_floor_step_lets_recommendation_leave_zero(self, floors):
         state = make_state(recommendation=0.0, floor_step=1e-3)
-        qualitative_step(state, obs(trend=1, harvest=0.6, recommendation=0.0), floors)
+        qualitative_step(state, obs(trend=1, harvest=0.6), floors)
         assert state.recommendation == pytest.approx(1e-3)
 
     def test_harvest_exactly_on_floor_counts_as_above(self, floors):
@@ -113,22 +113,19 @@ class TestMoratorium:
         assert state.moratorium
 
 
-def test_information_firewall(floors):
-    # identical qualitative observations with wildly different exact stocks
-    # must produce identical updates
-    for kwargs in (dict(trend=1, harvest=0.6), dict(trend=-1, harvest=0.3),
-                   dict(trend=-1, harvest=0.6), dict(binding=False)):
-        state_a = make_state()
-        state_b = make_state()
-        qualitative_step(state_a, obs(stock=None, **kwargs), floors)
-        qualitative_step(state_b, obs(stock=999.0, **kwargs), floors)
-        assert dataclasses.asdict(state_a) == dataclasses.asdict(state_b)
+def test_information_firewall():
+    # the qualitative rules see trend signs and floor comparisons only: the
+    # stock is not among the observable fields
+    fields = [f.name for f in dataclasses.fields(Observation)]
+    assert fields == ["trend_sign", "harvest", "binding"]
+    assert "stock" not in fields
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        make_state(recommendation=-0.1)
-    with pytest.raises(ValueError):
-        make_state(rate=0.0)
-    with pytest.raises(ValueError):
-        make_state(exit_intervals=0)
+    # the controller's settings are validated where a scenario sets them
+    for bad in (dict(initial_recommendation=-0.1), dict(rate=0.0),
+                dict(moratorium_exit_intervals=0), dict(floor_step=-1.0),
+                dict(floor_step=float("nan"))):
+        with pytest.raises(ValueError):
+            StrategySettings(Strategy.QUALITATIVE, **bad)
+    assert StrategySettings(Strategy.QUALITATIVE, floor_step=0.0).floor_step == 0.0

@@ -16,7 +16,6 @@ from quotavia import (
     binding_harvest,
     profit,
     realized_unmanaged_harvest,
-    recruitment,
     total_harvest,
     unmanaged_harvest,
 )
@@ -46,15 +45,11 @@ def test_derived_coeffs():
 
 class TestRecruitment:
     def test_examples(self, logistic):
-        assert recruitment(logistic, 0.0) == 0.0
-        assert recruitment(logistic, 1.0) == pytest.approx(0.5)
-        assert recruitment(logistic, 2.0) == pytest.approx(0.0)
+        assert logistic.rate(0.0) == 0.0
+        assert logistic.rate(1.0) == pytest.approx(0.5)
+        assert logistic.rate(2.0) == pytest.approx(0.0)
         assert logistic.peak_stock == pytest.approx(1.0)
         assert logistic.peak_rate == pytest.approx(0.5)
-
-    def test_negative_stock_rejected(self, logistic):
-        with pytest.raises(ValueError):
-            recruitment(logistic, -0.1)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -3,18 +3,8 @@
 import numpy as np
 import pytest
 
-from quotavia import EconParams, OracleConfig, best_response, equilibrium, total_harvest
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(resolution=32)
-    with pytest.raises(ValueError):
-        OracleConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(max_iterations=5)
-    with pytest.raises(ValueError):
-        OracleConfig(q_max=-1.0)
+from quotavia import EconParams, best_response, equilibrium, total_harvest
+from quotavia.oracle import _TOLERANCE
 
 
 def test_best_response_fixed_point(symmetric_params):
@@ -44,7 +34,7 @@ def test_best_response_minimizes_loss_under_rival_overshoot(symmetric_params):
 def test_equilibrium_binding(symmetric_params):
     res = equilibrium(symmetric_params, 1.0, 0.0)
     assert res.converged
-    assert res.residual <= OracleConfig().tolerance
+    assert res.residual <= _TOLERANCE
     assert res.q_1 == pytest.approx(1 / 6, abs=1e-7)
     assert res.q_2 == pytest.approx(1 / 6, abs=1e-7)
     assert res.q_1 + res.q_2 == pytest.approx(1 / 3, abs=1e-7)

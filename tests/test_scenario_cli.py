@@ -211,6 +211,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", canonical_scenario_path,
                      "--out", str(blocker / "sub")]) == 1
 
+    def test_negative_floor_step_exits_one(self, canonical, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(canonical.to_text().replace(
+            "rate = 0.05\n", "rate = 0.05\nfloor_step = -1.0\n"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: [strategy]: floor_step must be non-negative\n"
+        assert not out.exists()
+
     def test_ichthyocentric_records_violation(self, canonical, tmp_path):
         text = canonical.to_text().replace("name = conservative",
                                            "name = ichthyocentric")
@@ -292,6 +303,7 @@ class TestSweepCommand:
         "strategy.initial_trend=sideways|growing",
         "econ.price=inf|1",
         "simulation.horizon=inf:inf:1",
+        "strategy.floor_step=-1|0.001",
     ])
     def test_invalid_first_value_is_config_error(self, canonical_scenario_path,
                                                  tmp_path, capsys, axes):
@@ -305,6 +317,7 @@ class TestSweepCommand:
         ("econ.price=2.0|-1,simulation.horizon=1:1:1", "-1"),
         ("simulation.dt=0.01|1.0,simulation.horizon=1:1:1", "1.0"),
         ("econ.price=1|inf,simulation.horizon=1:1:1", "inf"),
+        ("strategy.floor_step=0.001|-1,simulation.horizon=1:1:1", "-1"),
     ])
     def test_invalid_later_value_is_error_row(self, canonical_scenario_path,
                                               tmp_path, axes, bad):

@@ -22,11 +22,11 @@ def _scalar_grid(params, xs, rs):
 
 
 def _free_catch(params, x):
-    """The free catch as the kernel computes it; like ``np.maximum``,
-    ``max(nan, 0.0)`` keeps a NaN, so a NaN stock has no defined free catch."""
+    """The free catch as both solves compute it: a negative or NaN optimum
+    counts as 0."""
     opt1 = (params.price * x - params.alpha_1) / (2.0 * params.beta_1)
     opt2 = (params.price * x - params.alpha_2) / (2.0 * params.beta_2)
-    return max(opt1, 0.0) + max(opt2, 0.0)
+    return (opt1 if opt1 > 0.0 else 0.0) + (opt2 if opt2 > 0.0 else 0.0)
 
 
 def _branch(params, x, r):
@@ -47,17 +47,27 @@ def test_harvest_curve_matches_scalar_solve():
     for i in range(200):
         params = EconParams(*np.exp(rng.uniform(np.log(0.1), np.log(10), 7)))
         xs = np.exp(rng.uniform(np.log(0.1), np.log(10), 4))
-        if i % 50 == 0:
-            # a NaN stock falls through every branch of the kernel to 0.0,
-            # as the scalar solve, which finds no free catch, lands at 0.0
-            xs[0] = np.nan
         rs = rng.uniform(0.0, 6.0, 5)
+        if i % 50 == 0:
+            # a NaN stock has no free catch and lands 0.0; a NaN
+            # recommendation falls through every branch to 0.0
+            xs[0] = np.nan
+            rs[-1] = np.nan
         # on the boundary of the non-deviating branch, free == r + BOUNDARY_TOL
         rs[0] = max(_free_catch(params, float(xs[1])) - BOUNDARY_TOL, 0.0)
         grid = harvest_curve(params, xs, rs)
         assert grid.tobytes() == _scalar_grid(params, xs, rs).tobytes()
         seen.update(_branch(params, float(x), float(r)) for x in xs for r in rs)
     assert seen == {"non-deviating", "interior", "solo-1", "solo-2", "zero"}
+    # where the scalar solve's ``> 0.0`` tests give 0.0: a NaN recommendation
+    # in a single-group point, a NaN stock without management, and a free
+    # catch within BOUNDARY_TOL of 0, managed and not
+    for params, x, r in ((EconParams(1, 5, 1, 1, 1, 1, 2), 1.0, np.nan),
+                         (EconParams(1, 5, 1, 1, 0, 0, 2), np.nan, 1.0),
+                         (EconParams(1, 1, 1, 1, 1, 1, 1), 1.0 + 1e-13, 0.5),
+                         (EconParams(1, 1, 1, 1, 0, 0, 1), 1.0 + 1e-13, 0.5)):
+        grid = harvest_curve(params, [x], [r])
+        assert grid.tobytes() == _scalar_grid(params, [x], [r]).tobytes()
 
 
 @pytest.mark.parametrize("rows, cols", [

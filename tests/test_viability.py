@@ -8,7 +8,6 @@ import pytest
 from quotavia import (
     CaseOrder,
     EconParams,
-    Maturity,
     Recruitment,
     Region,
     ViabilityBounds,
@@ -158,13 +157,10 @@ class TestClassifyRegion:
         (-1, -1, False, Region.R0_NON_BINDING),
     ])
     def test_table(self, trend, harvest, binding, expected):
-        label = classify_region(trend, harvest, binding, Maturity.MATURE)
-        assert label.region is expected
-        assert label.maturity is Maturity.MATURE
+        assert classify_region(trend, harvest, binding) is expected
 
     def test_zero_ties_resolve_to_continuation(self):
-        assert classify_region(0, 0, True, Maturity.EMERGING).region \
-            is Region.R1_GROWING_ABOVE_FLOOR
+        assert classify_region(0, 0, True) is Region.R1_GROWING_ABOVE_FLOOR
 
 
 class TestBiconditionalFlags:
