@@ -32,6 +32,13 @@ Measured, one process, one thread:
   ``tests/test_verification.py`` pins);
 * ``simulate_ns_per_step_{canonical,crisis}``: ``engine.simulate`` on the
   shipped scenario, per RK4 step (20,000 steps);
+* ``rk4_ns_per_step``: the ``engine._rk4`` calls of one crisis
+  ``simulate``, captured and replayed, per call (one RK4 step: stages 2-4,
+  each a Nash solve unless the stock only regrows; the replayed stages
+  solve at the run's final recommendation, which their closures read);
+* ``decision_ns_per_call``: the ``engine.qualitative_step`` calls of that
+  run, captured and replayed, per call (one controller decision), each on a
+  ``copy.copy`` of the state it was called with, copied before the timing;
 * ``trajectory_ns_per_row``: the ``simulate`` command with the simulation
   replaced by its recorded canonical result, per ``trajectory.csv`` row
   (so it also holds the config load, ``events.json`` and the summary line);
@@ -56,6 +63,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import copy  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -111,6 +119,24 @@ def replayed(module, attr: str, stand_in, argv: list[str]) -> None:
         cli_main(argv)
 
 
+def captured(module, names: tuple[str, ...], run) -> dict[str, list[tuple]]:
+    """Arguments of every call that ``run()`` makes to each of ``module``'s
+    ``names``, the first argument copied before the call can change it."""
+    calls: dict[str, list[tuple]] = {name: [] for name in names}
+
+    def spy(name: str, real):
+        def call(first, *rest):
+            calls[name].append((copy.copy(first), *rest))
+            return real(first, *rest)
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(module, name, spy(name, getattr(module, name))))
+        run()
+    return calls
+
+
 def sweep_axes(root: str) -> str:
     sweep = workloads.Sweep(root, SWEEP_SEED, out_dir="")
     sweep.setup()
@@ -123,7 +149,7 @@ def measure(root: str, repeat: int) -> dict:
     one stretch of a host whose speed drifts."""
     sys.path.insert(0, os.path.join(root, "src"))
     import numpy
-    from quotavia import cli, econ
+    from quotavia import cli, econ, engine
     from quotavia.engine import simulate
     from quotavia.scenario import ScenarioConfig
 
@@ -155,6 +181,22 @@ def measure(root: str, repeat: int) -> dict:
             return (f"simulate_ns_per_step_{name}", "ns", round(sim.horizon / sim.dt),
                     lambda: simulate(params, rec, bounds, sim))
 
+        calls = captured(engine, ("_rk4", "qualitative_step"),
+                         lambda: simulate(*ScenarioConfig.from_file(crisis).build()))
+        rk4, decide = engine._rk4, engine.qualitative_step
+        fresh: list[tuple] = []     # the decisions' states, copied anew before each call
+
+        def rk4_steps():
+            for args in calls["_rk4"]:
+                rk4(*args)
+
+        def decisions():
+            for args in fresh:
+                decide(*args)
+
+        def copy_states():
+            fresh[:] = [(copy.copy(state), *rest) for state, *rest in calls["qualitative_step"]]
+
         # (name, unit, work units per call, call)
         layers = [
             ("nash_ns_per_solve", "ns", len(points), solves),
@@ -162,6 +204,8 @@ def measure(root: str, repeat: int) -> dict:
              lambda: econ.harvest_curve(kernel_params, kernel_xs, kernel_rs)),
             simulation("canonical", canonical),
             simulation("crisis", crisis),
+            ("rk4_ns_per_step", "ns", len(calls["_rk4"]), rk4_steps),
+            ("decision_ns_per_call", "ns", len(calls["qualitative_step"]), decisions),
             ("trajectory_ns_per_row", "ns", len(record.samples),
              lambda: replayed(cli, "simulate", lambda *_: record,
                               ["simulate", "--config", canonical, "--out", out])),
@@ -172,12 +216,15 @@ def measure(root: str, repeat: int) -> dict:
              lambda axes=sweep_axes(root): cli_main(["sweep", "--config", canonical,
                                                      "--out", out, "--axes", axes])),
         ]
-        for *_, call in layers:     # one untimed round: lazy imports, caches
+        prepare = {"decision_ns_per_call": copy_states}
+        for name, *_, call in layers:   # one untimed round: lazy imports, caches
+            prepare.get(name, lambda: None)()
             call()
         times: dict[str, list[float]] = {name: [] for name, *_ in layers}
         normalized: dict[str, list[float]] = {name: [] for name, *_ in layers}
         for _ in range(repeat):
             for name, _unit, _per, call in layers:
+                prepare.get(name, lambda: None)()
                 before = reference.sample()
                 start = time.perf_counter()
                 call()

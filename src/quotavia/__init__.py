@@ -37,6 +37,7 @@ from .control import (
     ControllerState,
     Observation,
     Strategy,
+    StrategySettings,
     conservative_recommend,
     ichthyocentric_recommend,
     qualitative_step,
@@ -46,10 +47,8 @@ from .engine import (
     Event,
     Sample,
     SimConfig,
-    StrategySettings,
     TrajectoryRecord,
     simulate,
-    step,
     sweep,
 )
 from .scenario import ConfigError, OutputSettings, ScenarioConfig

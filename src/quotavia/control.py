@@ -17,6 +17,7 @@ from .viability import Maturity, ViabilityBounds, recommendation_floor
 
 __all__ = [
     "Strategy",
+    "StrategySettings",
     "Observation",
     "ControllerState",
     "ichthyocentric_recommend",
@@ -29,6 +30,43 @@ class Strategy(Enum):
     ICHTHYOCENTRIC = "ichthyocentric"
     CONSERVATIVE = "conservative"
     QUALITATIVE = "qualitative"
+
+
+@dataclass(frozen=True)
+class StrategySettings:
+    """Controller seed carried by a scenario.
+
+    ``initial_recommendation = None`` lets the qualitative controller start
+    from half the realized unmanaged catch.  ``initial_trend`` seeds the
+    first trend observation; when set, the qualitative controller decides
+    already at t = 0 (a fishery with a pre-model history), otherwise its
+    first decision waits for one measured control interval.
+    """
+
+    strategy: Strategy
+    rate: float = 0.05                       # multiplicative step per control interval
+    floor_step: float | None = None          # None -> 1e-3 * peak recruitment
+    initial_recommendation: float | None = None
+    initial_maturity: Maturity = Maturity.EMERGING
+    initial_trend: int | None = None
+    moratorium_exit_intervals: int = 5       # growing intervals that lift a moratorium
+
+    def __post_init__(self) -> None:
+        # the typed form of each parsed field's check in scenario._SCHEMA
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"expected Strategy, got {self.strategy!r}")
+        if not isinstance(self.initial_maturity, Maturity):
+            raise ValueError(f"expected Maturity, got {self.initial_maturity!r}")
+        if self.initial_trend not in (None, 1, -1):
+            raise ValueError(f"expected trend, got {self.initial_trend!r}")
+        if not self.rate > 0.0:
+            raise ValueError("rate must be positive")
+        if self.floor_step is not None and not self.floor_step >= 0.0:
+            raise ValueError("floor_step must be non-negative")
+        if self.initial_recommendation is not None and self.initial_recommendation < 0.0:
+            raise ValueError("initial_recommendation must be non-negative")
+        if self.moratorium_exit_intervals < 1:
+            raise ValueError("moratorium_exit_intervals must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -48,18 +86,13 @@ class Observation:
 
 @dataclass
 class ControllerState:
-    """Mutable state of one controller, owned by a single simulation run.
+    """Mutable state of one controller, owned by a single simulation run."""
 
-    Its settings are validated where a scenario sets them, in
-    ``engine.StrategySettings``.
-    """
-
+    settings: StrategySettings
+    floor_step: float               # additive minimum increase, lets r leave 0
     recommendation: float = 0.0
     maturity: Maturity = Maturity.EMERGING
     moratorium: bool = False
-    rate: float = 0.05              # multiplicative step per control interval
-    floor_step: float = 0.0         # additive minimum increase, lets r leave 0
-    exit_intervals: int = 5         # growing intervals needed to lift a moratorium
     growth_streak: int = 0
 
 
@@ -77,11 +110,11 @@ def conservative_recommend(params: EconParams, bounds: ViabilityBounds, x: float
 
 
 def _increase(state: ControllerState) -> None:
-    state.recommendation += max(state.rate * state.recommendation, state.floor_step)
+    state.recommendation += max(state.settings.rate * state.recommendation, state.floor_step)
 
 
 def _decrease(state: ControllerState) -> None:
-    state.recommendation /= 1.0 + state.rate
+    state.recommendation /= 1.0 + state.settings.rate
 
 
 def qualitative_step(state: ControllerState, obs: Observation,
@@ -89,7 +122,7 @@ def qualitative_step(state: ControllerState, obs: Observation,
     """Advance the qualitative rule table by one control interval.
 
     Rules, in priority order: during a moratorium nothing moves until the
-    stock has grown for ``exit_intervals`` consecutive intervals; a
+    stock has grown for ``moratorium_exit_intervals`` consecutive intervals; a
     non-binding recommendation is always reduced; while the stock grows the
     recommendation is raised (and the fishery turns mature on first reaching
     the growing-above-floor region); while it declines, a mature fishery
@@ -102,7 +135,7 @@ def qualitative_step(state: ControllerState, obs: Observation,
             state.growth_streak += 1
         else:
             state.growth_streak = 0
-        if state.growth_streak >= state.exit_intervals:
+        if state.growth_streak >= state.settings.moratorium_exit_intervals:
             state.moratorium = False
             state.growth_streak = 0
         return state

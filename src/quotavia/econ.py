@@ -336,6 +336,7 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
     kx1 = k1 * X
     kx2 = k2 * X
     both = (opt1 >= 0.0) & (opt2 >= 0.0)
+    alone2 = ~both & ~(opt1 > 0.0)  # not both may fish, and group 1 has no catch
 
     out = np.empty(shape)
     rows = max(1, _BLOCK_POINTS // max(R.size, 1))
@@ -371,19 +372,22 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
             continue
 
         # Points that are neither non-deviating nor interior: one group
-        # fishes alone where the other's interior quota (or free optimum) is
-        # negative; group 1 is written last, so it wins where both qualify.
-        # Each group's mask and quota reuse spent buffers, the quota the one
-        # that held the other group's interior quota.
+        # fishes alone, picked as _nash_point picks ``active``.  Group 2 where
+        # group 1's interior quota is negative, or where not both may fish
+        # and group 1's free optimum is not positive; group 1 at every other
+        # such point, a NaN interior quota included.  Each group's mask and
+        # quota reuse spent buffers, the quota the one that held the other
+        # group's interior quota.
         rest = np.logical_not(settled, out=settled)
         np.copyto(hb, 0.0, where=rest)
-        for solo, q, opt_other, gain, kx, b, k in (
-                (nondev, q1, opt1, gain2, kx2, b2, k2),
-                (interior, q2, opt2, gain1, kx1, b1, k1)):
-            np.less(q, 0.0, out=solo)
-            np.logical_and(solo, both[c], out=solo)
-            np.logical_or(solo, opt_other[c] < 0.0, out=solo)
-            np.logical_and(solo, rest, out=solo)
+        solo2, solo1 = nondev, interior
+        np.less(q1, 0.0, out=solo2)
+        np.logical_and(solo2, both[c], out=solo2)
+        np.logical_or(solo2, alone2[c], out=solo2)
+        np.logical_and(solo2, rest, out=solo2)
+        np.logical_xor(rest, solo2, out=solo1)
+        for solo, q, gain, kx, b, k in ((solo2, q1, gain2, kx2, b2, k2),
+                                        (solo1, q2, gain1, kx1, b1, k1)):
             if not solo.any():
                 continue
             np.multiply(2.0 * k * X[c], R, out=q)

@@ -20,6 +20,7 @@ from .control import (
     ControllerState,
     Observation,
     Strategy,
+    StrategySettings,
     conservative_recommend,
     ichthyocentric_recommend,
     qualitative_step,
@@ -41,13 +42,11 @@ from .viability import (
 
 __all__ = [
     "MAX_STEPS",
-    "StrategySettings",
     "SimConfig",
     "Sample",
     "Event",
     "TrajectoryRecord",
     "CellResult",
-    "step",
     "simulate",
     "sweep",
 ]
@@ -70,36 +69,6 @@ EVENT_REGION = "RegionCrossing"
 EVENT_MORATORIUM_START = "MoratoriumStart"
 EVENT_MORATORIUM_END = "MoratoriumEnd"
 EVENT_EXTINCTION = "Extinction"
-
-
-@dataclass(frozen=True)
-class StrategySettings:
-    """Controller seed carried by a scenario.
-
-    ``initial_recommendation = None`` lets the qualitative controller start
-    from half the realized unmanaged catch.  ``initial_trend`` seeds the
-    first trend observation; when set, the qualitative controller decides
-    already at t = 0 (a fishery with a pre-model history), otherwise its
-    first decision waits for one measured control interval.
-    """
-
-    strategy: Strategy
-    rate: float = 0.05
-    floor_step: float | None = None          # None -> 1e-3 * peak recruitment
-    initial_recommendation: float | None = None
-    initial_maturity: Maturity = Maturity.EMERGING
-    initial_trend: int | None = None
-    moratorium_exit_intervals: int = 5
-
-    def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise ValueError("rate must be positive")
-        if self.floor_step is not None and not self.floor_step >= 0.0:
-            raise ValueError("floor_step must be non-negative")
-        if self.initial_recommendation is not None and self.initial_recommendation < 0.0:
-            raise ValueError("initial_recommendation must be non-negative")
-        if self.moratorium_exit_intervals < 1:
-            raise ValueError("moratorium_exit_intervals must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -177,22 +146,6 @@ class TrajectoryRecord:
         return sum(values) / len(values)
 
 
-def step(x: float, h: float, rec: Recruitment, dt: float) -> float:
-    """One classical fourth-order step of ``dx/dt = growth(x) - h`` with the
-    harvest held constant; the result is clamped at zero."""
-    if x < 0.0:
-        raise ValueError("stock must be non-negative")
-    if h < 0.0:
-        raise ValueError("harvest must be non-negative")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-
-    def rhs(s: float) -> float:
-        return rec.rate(s) - h
-
-    return max(_rk4(rhs, x, dt, rhs(x)), 0.0)
-
-
 def _rk4(rhs: Callable[[float], float], x: float, dt: float, k1: float) -> float:
     """Classical fourth-order step from ``x``; ``k1 = rhs(x)`` is passed in
     because the simulation loop already has it from the recorded solve."""
@@ -216,8 +169,6 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     per_control = round(cfg.control_interval / dt)
     n_steps = round(cfg.horizon / dt)
     deadband = 1e-6 * rec.capacity  # a smaller decline reads as growing
-    floor_step = (settings.floor_step if settings.floor_step is not None
-                  else 1e-3 * rec.peak_rate)
 
     events: list[Event] = []
     samples: list[Sample] = []
@@ -244,28 +195,22 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
             elif was_moratorium and not state.moratorium:
                 events.append(Event(t, EVENT_MORATORIUM_END))
 
-    state = ControllerState(
-        maturity=settings.initial_maturity,
-        rate=settings.rate,
-        floor_step=floor_step,
-        exit_intervals=settings.moratorium_exit_intervals,
-    )
-    if not qualitative:
+    floor_step = settings.floor_step
+    state = ControllerState(settings, floor_step if floor_step is not None else 1e-3 * rec.peak_rate,
+                            maturity=settings.initial_maturity)
+    if qualitative:
+        state.recommendation = (settings.initial_recommendation
+                                if settings.initial_recommendation is not None
+                                else 0.5 * realized_unmanaged_harvest(params, x))
+    # A seeded trend is pre-model history: the qualitative controller then
+    # decides already at t = 0, as the other strategies always do.
+    if not qualitative or settings.initial_trend is not None:
         control_update(0.0)
-    elif settings.initial_recommendation is not None:
-        state.recommendation = settings.initial_recommendation
-    else:
-        state.recommendation = 0.5 * realized_unmanaged_harvest(params, x)
 
     try:
         verdict = check_viability_domain(params, rec, bounds)
     except ValueError:
         verdict = None  # unmanaged fishery has no threshold curves
-
-    # A seeded trend is pre-model history: the qualitative controller then
-    # decides already at t = 0.
-    if qualitative and settings.initial_trend is not None:
-        control_update(0.0)
 
     # Recruitment.rate spelled out: the same operations, without a method
     # call per RK stage.
@@ -341,8 +286,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         x = x_next
 
     return TrajectoryRecord(samples=samples, events=events,
-                            metadata={"viability_verdict": verdict,
-                                      "strategy": settings.strategy.value})
+                            metadata={"viability_verdict": verdict})
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .control import Strategy
+from .control import Strategy, StrategySettings
 from .econ import EconParams, Recruitment
-from .engine import SimConfig, StrategySettings
+from .engine import SimConfig
 from .viability import Maturity, ViabilityBounds
 
 __all__ = ["ConfigError", "OutputSettings", "ScenarioConfig"]
@@ -36,19 +36,28 @@ class OutputSettings:
 _TRENDS = {"": None, "none": None, "growing": 1, "declining": -1}
 _TREND_NAMES = {None: "none", 1: "growing", -1: "declining"}
 
-# section -> key -> (parser, required)
+
+def trend(text: str) -> int | None:
+    """Seeded trend sign of a trend word in ``_TRENDS``, in any case."""
+    try:
+        return _TRENDS[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+# section -> key -> (parser of a string, required)
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "econ": {key: (float, True) for key in
              ("alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price")},
     "recruitment": {"growth": (float, True), "capacity": (float, True)},
     "bounds": {"stock_floor": (float, True), "harvest_floor": (float, True)},
     "strategy": {
-        "name": (str, True),
+        "name": (Strategy, True),
         "rate": (float, False),
         "floor_step": (float, False),
         "initial_recommendation": (float, False),
-        "initial_maturity": (str, False),
-        "initial_trend": (str, False),
+        "initial_maturity": (Maturity, False),
+        "initial_trend": (trend, False),
         "moratorium_exit_intervals": (int, False),
     },
     "simulation": {
@@ -75,10 +84,8 @@ def _parse_value(section: str, key: str, raw):
         raise ConfigError(f"[{section}] {key}: unknown key") from None
     value = raw
     if isinstance(raw, str):
-        if kind is str:
-            return raw.strip()
         try:
-            value = kind(raw)
+            value = kind(raw.strip())
         except ValueError:
             raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, "
                               f"got {raw!r}") from None
@@ -143,25 +150,7 @@ class ScenarioConfig:
         bounds = wrap("bounds", lambda: ViabilityBounds(**values["bounds"]))
 
         strat = dict(values["strategy"])
-        name = strat.pop("name")
-        try:
-            strategy_kind = Strategy(name)
-        except ValueError:
-            raise ConfigError(f"[strategy] name: unknown strategy {name!r}") from None
-        maturity_raw = strat.pop("initial_maturity", "emerging")
-        try:
-            maturity = Maturity(maturity_raw)
-        except ValueError:
-            raise ConfigError(f"[strategy] initial_maturity: {maturity_raw!r}") from None
-        trend_raw = strat.pop("initial_trend", "").lower()
-        if trend_raw not in _TRENDS:
-            raise ConfigError(f"[strategy] initial_trend: {trend_raw!r}")
-        settings = wrap("strategy", lambda: StrategySettings(
-            strategy=strategy_kind,
-            initial_maturity=maturity,
-            initial_trend=_TRENDS[trend_raw],
-            **strat,
-        ))
+        settings = wrap("strategy", lambda: StrategySettings(strategy=strat.pop("name"), **strat))
 
         simulation = wrap("simulation", lambda: SimConfig(
             settings=settings, **values["simulation"]))
@@ -208,18 +197,13 @@ class ScenarioConfig:
             value = _parse_value(section, key, value)
             try:
                 cfg = cfg._with_field(section, key, value)
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
         return cfg
 
     def _with_field(self, section: str, key: str, value) -> "ScenarioConfig":
         if section == "strategy":
-            if key == "name":
-                key, value = "strategy", Strategy(value)
-            elif key == "initial_maturity":
-                value = Maturity(value)
-            elif key == "initial_trend" and isinstance(value, str):
-                value = _TRENDS[value.lower()]
+            key = "strategy" if key == "name" else key
             section, key, value = ("simulation", "settings",
                                    replace(self.strategy, **{key: value}))
         return replace(self, **{section: replace(getattr(self, section), **{key: value})})

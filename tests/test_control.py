@@ -16,11 +16,12 @@ from quotavia import (
 )
 
 
-def make_state(**kwargs):
-    defaults = dict(recommendation=0.5, maturity=Maturity.MATURE, rate=0.1,
-                    floor_step=5e-4)
+def make_state(floor_step=5e-4, exit_intervals=5, **kwargs):
+    settings = StrategySettings(Strategy.QUALITATIVE, rate=0.1, floor_step=floor_step,
+                                moratorium_exit_intervals=exit_intervals)
+    defaults = dict(recommendation=0.5, maturity=Maturity.MATURE)
     defaults.update(kwargs)
-    return ControllerState(**defaults)
+    return ControllerState(settings, floor_step, **defaults)
 
 
 def obs(trend=1, harvest=0.6, binding=True):
@@ -125,7 +126,10 @@ def test_state_validation():
     # the controller's settings are validated where a scenario sets them
     for bad in (dict(initial_recommendation=-0.1), dict(rate=0.0),
                 dict(moratorium_exit_intervals=0), dict(floor_step=-1.0),
-                dict(floor_step=float("nan"))):
+                dict(floor_step=float("nan")), dict(initial_maturity="mature"),
+                dict(initial_trend=5), dict(initial_trend=float("nan"))):
         with pytest.raises(ValueError):
             StrategySettings(Strategy.QUALITATIVE, **bad)
+    with pytest.raises(ValueError):
+        StrategySettings("qualitative")
     assert StrategySettings(Strategy.QUALITATIVE, floor_step=0.0).floor_step == 0.0

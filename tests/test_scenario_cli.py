@@ -118,11 +118,30 @@ class TestScenarioConfig:
         ("econ.price", float("inf")),
         ("bounds.harvest_floor", float("inf")),
         ("strategy.initial_recommendation", float("nan")),
+        ("strategy.name", 5),
+        ("strategy.initial_maturity", 5),
+        ("strategy.initial_trend", 5),
     ])
     def test_invalid_override_names_field(self, canonical, field, value):
         section, key = field.split(".")
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}:"):
             canonical.with_overrides({field: value})
+
+    @pytest.mark.parametrize("old, key, value, message", [
+        ("name = conservative", "name", "foo", "expected Strategy, got 'foo'"),
+        ("initial_maturity = emerging", "initial_maturity", "old",
+         "expected Maturity, got 'old'"),
+        ("initial_trend = none", "initial_trend", "sideways", "expected trend, got 'sideways'"),
+    ])
+    def test_strategy_word_message(self, canonical, old, key, value, message):
+        # the file and the override path parse a strategy word alike
+        expected = f"[strategy] {key}: {message}"
+        text = canonical.to_text().replace(old, f"{key} = {value}")
+        with pytest.raises(ConfigError) as from_file:
+            ScenarioConfig.from_text(text)
+        with pytest.raises(ConfigError) as from_override:
+            canonical.with_overrides({f"strategy.{key}": value})
+        assert str(from_file.value) == str(from_override.value) == expected
 
 
 class TestCheckCommand:

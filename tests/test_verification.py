@@ -68,6 +68,21 @@ def test_harvest_curve_matches_scalar_solve():
                          (EconParams(1, 1, 1, 1, 0, 0, 1), 1.0 + 1e-13, 0.5)):
         grid = harvest_curve(params, [x], [r])
         assert grid.tobytes() == _scalar_grid(params, [x], [r]).tobytes()
+    # overflowing and vanishing stocks: at x = 1e308 the interior quotas
+    # are NaN (inf - inf), where the scalar solve lets group 1 fish alone
+    # (about 3.6, 4.1, 4.6 and 8.6 here, not 0.0)
+    params = EconParams(14.6, 10.9, 18.7, 16.33, 0.1, 17.16, 0.72)
+    rs = [0.0, 0.5, 1.0, 5.0]
+    with np.errstate(all="ignore"):
+        grid = harvest_curve(params, [1e308], rs)
+        assert grid.tobytes() == _scalar_grid(params, [1e308], rs).tobytes()
+        assert grid.min() > 3.5
+        xs = [1e308, 1.7e308, 1e300, 1e-300, 5e-324]
+        for _ in range(20):
+            params = EconParams(*np.exp(rng.uniform(np.log(0.05), np.log(20), 7)))
+            rs = np.concatenate(([0.0, 1e-300, 1e300], rng.uniform(0.0, 6.0, 3)))
+            grid = harvest_curve(params, xs, rs)
+            assert grid.tobytes() == _scalar_grid(params, xs, rs).tobytes()
 
 
 @pytest.mark.parametrize("rows, cols", [
