@@ -1,6 +1,8 @@
 """Threshold curves, viability verdicts, critical levels, region table."""
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -69,6 +71,36 @@ class TestRecommendationFloor:
         xs = np.linspace(0.2, 4.0, 50)
         vals = [recommendation_floor(symmetric_params, floors, float(x)) for x in xs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_threshold_curve_outputs_are_pinned():
+    # %.17g of the unmanaged and binding harvests and of the floor and
+    # ceiling recommendations over seeded random parameters and stocks;
+    # one deviation cost in five is 0, and stocks reach where the curves
+    # turn negative
+    rng = random.Random(4242)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    lines = []
+    for i in range(2000):
+        kappas = [log_uniform(0.01, 100), log_uniform(0.01, 100)]
+        if i % 5 == 0:
+            kappas[i % 2] = 0.0
+        params = EconParams(log_uniform(0.1, 10), log_uniform(0.1, 10),
+                            log_uniform(0.1, 10), log_uniform(0.1, 10),
+                            *kappas, log_uniform(0.1, 10))
+        rec = Recruitment(growth=log_uniform(0.1, 10), capacity=log_uniform(0.1, 10))
+        bounds = ViabilityBounds(stock_floor=1.0, harvest_floor=log_uniform(0.01, 10))
+        x = log_uniform(1e-3, 40)
+        values = (unmanaged_harvest(params, x),
+                  binding_harvest(params, x, rng.uniform(0.0, 5.0)),
+                  recommendation_floor(params, bounds, x),
+                  recommendation_ceiling(params, rec, x))
+        lines.append(",".join(f"{v:.17g}" for v in values) + "\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "f9c339a86429e41900257016706cd113e9ef9910140ba7ab545222d519c59bfb"
 
 
 class TestViabilityDomain:
