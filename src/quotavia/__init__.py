@@ -7,7 +7,6 @@ every closed form and an ODE simulation engine for strategy assessment.
 
 from .econ import (
     EconParams,
-    DerivedCoeffs,
     NegotiationOutcome,
     Recruitment,
     Regime,
@@ -35,7 +34,6 @@ from .viability import (
 )
 from .control import (
     ControllerState,
-    Observation,
     Strategy,
     StrategySettings,
     conservative_recommend,

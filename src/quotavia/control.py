@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .econ import EconParams, Recruitment
-from .viability import Maturity, ViabilityBounds, recommendation_floor
+from .viability import (R0, R1, R2, R3, R4, Maturity, Region, ViabilityBounds,
+                         recommendation_floor)
 
 __all__ = [
     "Strategy",
     "StrategySettings",
-    "Observation",
     "ControllerState",
     "ichthyocentric_recommend",
     "conservative_recommend",
@@ -69,21 +69,6 @@ class StrategySettings:
             raise ValueError("moratorium_exit_intervals must be at least 1")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What a controller may see at a decision point.
-
-    The sign of the stock trend, the realized harvest (compared against the
-    harvest floor) and whether the recommendation binds.  The stock is not
-    among the fields, so no rule can read it: the information firewall is
-    structural.
-    """
-
-    trend_sign: int
-    harvest: float
-    binding: bool
-
-
 @dataclass
 class ControllerState:
     """Mutable state of one controller, owned by a single simulation run."""
@@ -109,52 +94,31 @@ def conservative_recommend(params: EconParams, bounds: ViabilityBounds, x: float
     return max(recommendation_floor(params, bounds, x), 0.0)
 
 
-def _increase(state: ControllerState) -> None:
-    state.recommendation += max(state.settings.rate * state.recommendation, state.floor_step)
-
-
-def _decrease(state: ControllerState) -> None:
-    state.recommendation /= 1.0 + state.settings.rate
-
-
-def qualitative_step(state: ControllerState, obs: Observation,
-                     bounds: ViabilityBounds) -> ControllerState:
+def qualitative_step(state: ControllerState, region: Region) -> ControllerState:
     """Advance the qualitative rule table by one control interval.
 
-    Rules, in priority order: during a moratorium nothing moves until the
-    stock has grown for ``moratorium_exit_intervals`` consecutive intervals; a
-    non-binding recommendation is always reduced; while the stock grows the
-    recommendation is raised (and the fishery turns mature on first reaching
-    the growing-above-floor region); while it declines, a mature fishery
-    lowers the recommendation when the catch clears the floor and closes the
-    fishery entirely when it does not, whereas an emerging fishery steers
-    the catch toward the floor from either side.
+    The controller reads the phase region only, never the stock: the
+    information firewall is the signature.  During a moratorium nothing
+    moves until the stock has grown (R1 or R2) for
+    ``moratorium_exit_intervals`` consecutive intervals.  Otherwise a
+    non-binding recommendation (R0) and a catch above the floor in a
+    declining stock (R3) lower the recommendation; a catch below the floor
+    in a declining stock (R4) closes a mature fishery; every other region
+    raises it, and the fishery turns mature on first reaching R1.
     """
     if state.moratorium:
-        if obs.trend_sign > 0:
-            state.growth_streak += 1
-        else:
-            state.growth_streak = 0
+        state.growth_streak = state.growth_streak + 1 if region is R1 or region is R2 else 0
         if state.growth_streak >= state.settings.moratorium_exit_intervals:
             state.moratorium = False
             state.growth_streak = 0
-        return state
-
-    if not obs.binding:
-        _decrease(state)
-        return state
-
-    above_floor = obs.harvest >= bounds.harvest_floor
-    if obs.trend_sign >= 0:
-        if above_floor and state.maturity is Maturity.EMERGING:
-            state.maturity = Maturity.MATURE
-        _increase(state)
-    elif above_floor:
-        _decrease(state)
-    elif state.maturity is Maturity.MATURE:
+    elif region is R0 or region is R3:
+        state.recommendation /= 1.0 + state.settings.rate
+    elif region is R4 and state.maturity is Maturity.MATURE:
         state.moratorium = True
         state.recommendation = 0.0
         state.growth_streak = 0
     else:
-        _increase(state)
+        if region is R1:
+            state.maturity = Maturity.MATURE
+        state.recommendation += max(state.settings.rate * state.recommendation, state.floor_step)
     return state

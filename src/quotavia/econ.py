@@ -24,7 +24,6 @@ __all__ = [
     "BOUNDARY_TOL",
     "Regime",
     "EconParams",
-    "DerivedCoeffs",
     "Recruitment",
     "NegotiationOutcome",
     "unmanaged_harvest",
@@ -86,32 +85,19 @@ class EconParams:
         for name in ("kappa_1", "kappa_2"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        # the negotiation divides by both products: each must be a normal
+        # float, so that a managed fishery never computes like an unmanaged one
+        b1, b2 = self.beta_1, self.beta_2
+        if not b1 * b2 >= sys.float_info.min:
+            raise ValueError("beta_1 * beta_2 must be a normal float")
+        if not (self.unmanaged or b1 * self.kappa_2 + b2 * self.kappa_1 >= sys.float_info.min):
+            raise ValueError("beta_1 * kappa_2 + beta_2 * kappa_1 must be a normal "
+                             "float unless both kappas are 0")
 
     @property
     def unmanaged(self) -> bool:
         """True when deviation costs vanish for both groups."""
         return self.kappa_1 == 0.0 and self.kappa_2 == 0.0
-
-    def coeffs(self) -> "DerivedCoeffs":
-        return DerivedCoeffs(
-            mean_beta=0.5 * (self.beta_1 + self.beta_2),
-            deviation_cross=self.beta_1 * self.kappa_2 + self.beta_2 * self.kappa_1,
-            cost_cross=0.5 * (self.alpha_1 * self.beta_2 + self.alpha_2 * self.beta_1),
-            beta_product=self.beta_1 * self.beta_2,
-        )
-
-
-@dataclass(frozen=True)
-class DerivedCoeffs:
-    """Aggregate coefficients the negotiation algebra runs on.
-
-    Always recomputed from :class:`EconParams`, never stored on their own.
-    """
-
-    mean_beta: float        # (beta_1 + beta_2) / 2
-    deviation_cross: float  # beta_1 kappa_2 + beta_2 kappa_1
-    cost_cross: float       # (alpha_1 beta_2 + alpha_2 beta_1) / 2
-    beta_product: float     # beta_1 beta_2
 
 
 @dataclass(frozen=True)
@@ -177,8 +163,9 @@ def unmanaged_harvest(params: EconParams, x: float) -> float:
     fishing is unprofitable at this stock level even without management.
     """
     _require_stock(x)
-    c = params.coeffs()
-    return (c.mean_beta * params.price * x - c.cost_cross) / c.beta_product
+    b1, b2 = params.beta_1, params.beta_2
+    return ((0.5 * (b1 + b2) * params.price * x
+             - 0.5 * (params.alpha_1 * b2 + params.alpha_2 * b1)) / (b1 * b2))
 
 
 def realized_unmanaged_harvest(params: EconParams, x: float) -> float:
@@ -202,11 +189,12 @@ def binding_harvest(params: EconParams, x: float, r: float) -> float:
     """
     _require_stock(x)
     _require_recommendation(r)
-    c = params.coeffs()
-    if c.deviation_cross == 0.0:
+    if params.unmanaged:
         raise ValueError("binding harvest undefined without deviation costs")
-    wx = c.deviation_cross * x
-    return (c.mean_beta * params.price * x + wx * r - c.cost_cross) / (c.beta_product + wx)
+    b1, b2 = params.beta_1, params.beta_2
+    wx = (b1 * params.kappa_2 + b2 * params.kappa_1) * x
+    return ((0.5 * (b1 + b2) * params.price * x + wx * r
+             - 0.5 * (params.alpha_1 * b2 + params.alpha_2 * b1)) / (b1 * b2 + wx))
 
 
 def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, float, Regime]:

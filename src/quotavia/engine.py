@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 from .control import (
     ControllerState,
-    Observation,
     Strategy,
     StrategySettings,
     conservative_recommend,
@@ -54,7 +53,6 @@ __all__ = [
 # Deadband below which a floor comparison does not flip the viability flag;
 # keeps an exactly-on-the-floor trajectory from flickering events.
 _VIABILITY_TOL = 1e-9
-_BINDING_TOL = 1e-12
 
 # Step budget of one simulation, horizon / dt: 50 times the 20,000 steps of
 # the shipped scenarios.  A run that long takes several seconds, and at
@@ -187,9 +185,8 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
             h = _nash_point(params, x, state.recommendation)[2]
             if state.moratorium or extinct:
                 h = 0.0
-            obs = Observation(trend, h, h + _BINDING_TOL >= state.recommendation)
             was_moratorium = state.moratorium
-            qualitative_step(state, obs, bounds)
+            qualitative_step(state, classify_region(trend, h, state.recommendation, bounds))
             if state.moratorium and not was_moratorium:
                 events.append(Event(t, EVENT_MORATORIUM_START))
             elif was_moratorium and not state.moratorium:
@@ -207,10 +204,8 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     if not qualitative or settings.initial_trend is not None:
         control_update(0.0)
 
-    try:
-        verdict = check_viability_domain(params, rec, bounds)
-    except ValueError:
-        verdict = None  # unmanaged fishery has no threshold curves
+    # an unmanaged fishery has no threshold curves
+    verdict = None if params.unmanaged else check_viability_domain(params, rec, bounds)
 
     # Recruitment.rate spelled out: the same operations, without a method
     # call per RK stage.
@@ -251,8 +246,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         h_x = h if idle or x >= 1e-300 else _nash_point(params, x, r)[2]
 
         if k == 0 or decides:
-            new_region = classify_region(trend, 1 if h_x >= bounds.harvest_floor else -1,
-                                         h_x + _BINDING_TOL >= r)
+            new_region = classify_region(trend, h_x, r, bounds)
             if k > 0 and new_region is not region:
                 events.append(Event(t, EVENT_REGION,
                                     {"from": region.value, "to": new_region.value}))

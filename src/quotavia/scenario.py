@@ -77,18 +77,25 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 
 def _parse_value(section: str, key: str, raw):
     """Typed value of one field.  A string is parsed as file input; any
-    other value is taken as already typed.  A float must be finite."""
+    other value is taken as already typed, except that a float field takes
+    an int as a float and an int field an integral float as an int (a bool
+    is neither).  A float must be finite."""
     try:
         kind, _ = _SCHEMA[section][key]
     except KeyError:
         raise ConfigError(f"[{section}] {key}: unknown key") from None
     value = raw
-    if isinstance(raw, str):
-        try:
+    try:
+        if isinstance(raw, str):
             value = kind(raw.strip())
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, "
-                              f"got {raw!r}") from None
+        elif kind in (int, float) and isinstance(raw, (int, float)):
+            if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                         and not raw.is_integer()):
+                raise ValueError(raw)
+            value = kind(raw)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, "
+                          f"got {raw!r}") from None
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
     return value

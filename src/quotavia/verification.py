@@ -121,7 +121,7 @@ def _interior_negotiation(params: EconParams, x: float) -> bool:
         return False
     if opt1 + opt2 <= 0.0:
         return True
-    if params.coeffs().deviation_cross == 0.0:
+    if params.unmanaged:
         return True
     h0 = binding_harvest(params, x, 0.0)
     if h0 <= 0.0:

@@ -15,6 +15,7 @@ from enum import Enum
 from .econ import (
     EconParams,
     Recruitment,
+    _require_stock,
     total_harvest,
     unmanaged_harvest,
 )
@@ -61,6 +62,10 @@ class Region(Enum):
     R2_GROWING_BELOW_FLOOR = "R2"
     R3_DECLINING_ABOVE_FLOOR = "R3"
     R4_DECLINING_BELOW_FLOOR = "R4"
+
+
+# Bound once: a member lookup on the Enum class takes longer than a decision.
+R0, R1, R2, R3, R4 = Region
 
 
 class Maturity(Enum):
@@ -115,30 +120,30 @@ class CriticalLevels:
     crossings_below_b: tuple[float, ...] = field(default=())
 
 
-def _coeff_context(params: EconParams, x: float) -> tuple[float, float, float, float]:
-    if not x > 0.0:
-        raise ValueError("stock must be positive")
-    c = params.coeffs()
-    if c.deviation_cross == 0.0:
+def _binding_recommendation(params: EconParams, x: float, h: float) -> float:
+    """Recommendation whose binding harvest (``econ.binding_harvest``) at
+    ``x`` is ``h``: that closed form solved for the recommendation."""
+    _require_stock(x)
+    if params.unmanaged:
         raise ValueError("threshold curves undefined without deviation costs")
-    return c.mean_beta, c.deviation_cross, c.cost_cross, c.beta_product
+    b1, b2 = params.beta_1, params.beta_2
+    w = b1 * params.kappa_2 + b2 * params.kappa_1
+    wx = w * x
+    return ((h * (wx + b1 * b2) + 0.5 * (params.alpha_1 * b2 + params.alpha_2 * b1)) / wx
+            - 0.5 * (b1 + b2) * params.price / w)
 
 
 def recommendation_ceiling(params: EconParams, rec: Recruitment, x: float) -> float:
     """Largest recommendation whose negotiated harvest keeps the stock from
     declining at ``x``.  Negative means no admissible recommendation can
     stabilize the stock there."""
-    u, w, v, bb = _coeff_context(params, x)
-    wx = w * x
-    return (rec.rate(x) * (wx + bb) + v) / wx - u * params.price / w
+    return _binding_recommendation(params, x, rec.rate(x))
 
 
 def recommendation_floor(params: EconParams, bounds: ViabilityBounds, x: float) -> float:
     """Smallest recommendation whose negotiated harvest reaches the harvest
     floor at ``x``.  Strictly decreasing in the stock."""
-    u, w, v, bb = _coeff_context(params, x)
-    wx = w * x
-    return (bounds.harvest_floor * (wx + bb) + v) / wx - u * params.price / w
+    return _binding_recommendation(params, x, bounds.harvest_floor)
 
 
 def check_viability_domain(params: EconParams, rec: Recruitment,
@@ -237,20 +242,22 @@ def critical_levels(params: EconParams, rec: Recruitment,
                           crossings_below_b=tuple(crossings))
 
 
-def classify_region(trend_sign: int, harvest_sign: int, binding: bool) -> Region:
-    """Map qualitative observations to a phase region.
+def classify_region(trend_sign: int, h: float, r: float,
+                    bounds: ViabilityBounds) -> Region:
+    """Phase region of the harvest ``h`` under the recommendation ``r``
+    while the stock trend has the sign ``trend_sign``.
 
-    ``trend_sign`` / ``harvest_sign`` are the signs of the stock trend and
-    of (harvest - harvest floor).  Zero trend counts as growing and zero
-    harvest margin as above the floor: both tie-breaks favour continuation
-    over intervention.  A non-binding recommendation wins over everything.
+    The recommendation binds when ``h`` reaches ``r`` within ``_SIGN_TOL``
+    (a NaN harvest never binds), and a non-binding recommendation wins over
+    everything.  Zero trend counts as growing and a harvest on the floor as
+    above it: both tie-breaks favour continuation over intervention.
     """
-    if not binding:
-        return Region.R0_NON_BINDING
-    above = harvest_sign >= 0
+    if not h + _SIGN_TOL >= r:
+        return R0
+    above = h >= bounds.harvest_floor
     if trend_sign >= 0:
-        return Region.R1_GROWING_ABOVE_FLOOR if above else Region.R2_GROWING_BELOW_FLOOR
-    return Region.R3_DECLINING_ABOVE_FLOOR if above else Region.R4_DECLINING_BELOW_FLOOR
+        return R1 if above else R2
+    return R3 if above else R4
 
 
 def recruitment_meets_floor_flags(params: EconParams, rec: Recruitment,
@@ -304,7 +311,5 @@ def phase_rows(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                 sign = 0
             else:
                 sign = 1 if gap > 0.0 else -1
-            region = classify_region(sign if sign != 0 else 1,
-                                     1 if out.h >= bounds.harvest_floor else -1,
-                                     out.h + _SIGN_TOL >= r)
+            region = classify_region(sign, out.h, r, bounds)
             yield (x, r, out.h, out.regime, sign, unmanaged, ceiling, floor, region)

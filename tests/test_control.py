@@ -1,15 +1,16 @@
 """Recommendation strategies: laws, rule table, moratorium, firewall."""
 
-import dataclasses
+import inspect
 
 import pytest
 
 from quotavia import (
     ControllerState,
     Maturity,
-    Observation,
+    Region,
     Strategy,
     StrategySettings,
+    classify_region,
     conservative_recommend,
     ichthyocentric_recommend,
     qualitative_step,
@@ -24,8 +25,7 @@ def make_state(floor_step=5e-4, exit_intervals=5, **kwargs):
     return ControllerState(settings, floor_step, **defaults)
 
 
-def obs(trend=1, harvest=0.6, binding=True):
-    return Observation(trend_sign=trend, harvest=harvest, binding=binding)
+R0, R1, R2, R3, R4 = Region
 
 
 class TestClosedFormLaws:
@@ -43,83 +43,84 @@ class TestClosedFormLaws:
 
 
 class TestQualitativeRules:
-    def test_non_binding_decreases(self, floors):
+    def test_non_binding_decreases(self):
         state = make_state(recommendation=1.2)
-        qualitative_step(state, obs(binding=False), floors)
+        qualitative_step(state, R0)
         assert state.recommendation == pytest.approx(1.2 / 1.1)
 
-    def test_growing_above_floor_increases(self, floors):
+    def test_growing_above_floor_increases(self):
         state = make_state(recommendation=0.5)
-        qualitative_step(state, obs(trend=1, harvest=0.6), floors)
+        qualitative_step(state, R1)
         assert state.recommendation == pytest.approx(0.55)
 
-    def test_growing_below_floor_increases(self, floors):
+    def test_growing_below_floor_increases(self):
         state = make_state(recommendation=0.5)
-        qualitative_step(state, obs(trend=1, harvest=0.3), floors)
+        qualitative_step(state, R2)
         assert state.recommendation == pytest.approx(0.55)
 
-    def test_mature_decline_above_floor_decreases(self, floors):
+    def test_mature_decline_above_floor_decreases(self):
         state = make_state(recommendation=0.5)
-        qualitative_step(state, obs(trend=-1, harvest=0.6), floors)
+        qualitative_step(state, R3)
         assert state.recommendation == pytest.approx(0.5 / 1.1)
 
-    def test_mature_decline_below_floor_starts_moratorium(self, floors):
+    def test_mature_decline_below_floor_starts_moratorium(self):
         state = make_state(recommendation=0.5)
-        qualitative_step(state, obs(trend=-1, harvest=0.3), floors)
+        qualitative_step(state, R4)
         assert state.moratorium
         assert state.recommendation == 0.0
 
-    def test_emerging_decline_below_floor_increases(self, floors):
+    def test_emerging_decline_below_floor_increases(self):
         state = make_state(recommendation=0.5, maturity=Maturity.EMERGING)
-        qualitative_step(state, obs(trend=-1, harvest=0.3), floors)
+        qualitative_step(state, R4)
         assert not state.moratorium
         assert state.recommendation == pytest.approx(0.55)
 
-    def test_emerging_decline_above_floor_decreases(self, floors):
+    def test_emerging_decline_above_floor_decreases(self):
         state = make_state(recommendation=0.5, maturity=Maturity.EMERGING)
-        qualitative_step(state, obs(trend=-1, harvest=0.6), floors)
+        qualitative_step(state, R3)
         assert state.recommendation == pytest.approx(0.5 / 1.1)
 
-    def test_maturity_flips_only_in_growing_above_floor(self, floors):
+    def test_maturity_flips_only_in_growing_above_floor(self):
         state = make_state(maturity=Maturity.EMERGING)
-        qualitative_step(state, obs(trend=1, harvest=0.3), floors)
+        qualitative_step(state, R2)
         assert state.maturity is Maturity.EMERGING
-        qualitative_step(state, obs(trend=1, harvest=0.6), floors)
+        qualitative_step(state, R1)
         assert state.maturity is Maturity.MATURE
 
-    def test_floor_step_lets_recommendation_leave_zero(self, floors):
+    def test_floor_step_lets_recommendation_leave_zero(self):
         state = make_state(recommendation=0.0, floor_step=1e-3)
-        qualitative_step(state, obs(trend=1, harvest=0.6), floors)
+        qualitative_step(state, R1)
         assert state.recommendation == pytest.approx(1e-3)
 
     def test_harvest_exactly_on_floor_counts_as_above(self, floors):
         state = make_state(recommendation=0.5)
-        qualitative_step(state, obs(trend=-1, harvest=floors.harvest_floor), floors)
+        region = classify_region(-1, floors.harvest_floor, floors.harvest_floor, floors)
+        qualitative_step(state, region)
+        assert region is R3
         assert not state.moratorium
 
 
 class TestMoratorium:
-    def test_exit_requires_consecutive_growth(self, floors):
+    def test_exit_requires_consecutive_growth(self):
         state = make_state(moratorium=True, recommendation=0.0, exit_intervals=3)
-        for trend in (1, 1, -1, 1, 1):
-            qualitative_step(state, obs(trend=trend, harvest=0.0), floors)
+        for region in (R1, R2, R4, R2, R1):
+            qualitative_step(state, region)
             assert state.moratorium
-        qualitative_step(state, obs(trend=1, harvest=0.0), floors)
+        qualitative_step(state, R2)
         assert not state.moratorium
 
-    def test_rules_frozen_during_moratorium(self, floors):
+    def test_rules_frozen_during_moratorium(self):
         state = make_state(moratorium=True, recommendation=0.0)
-        qualitative_step(state, obs(trend=-1, harvest=0.0, binding=False), floors)
+        for region in (R0, R3, R4):
+            qualitative_step(state, region)
         assert state.recommendation == 0.0
         assert state.moratorium
 
 
 def test_information_firewall():
-    # the qualitative rules see trend signs and floor comparisons only: the
-    # stock is not among the observable fields
-    fields = [f.name for f in dataclasses.fields(Observation)]
-    assert fields == ["trend_sign", "harvest", "binding"]
-    assert "stock" not in fields
+    # the qualitative rules see the phase region only (trend sign, floor and
+    # binding comparisons): the stock is not among their inputs
+    assert list(inspect.signature(qualitative_step).parameters) == ["state", "region"]
 
 
 def test_state_validation():

@@ -34,13 +34,19 @@ def test_econ_params_validation():
     assert EconParams(1, 1, 1, 1, 0, 0, 2).unmanaged
 
 
-def test_derived_coeffs():
-    params = EconParams(1, 2, 3, 4, 5, 6, 1)
-    c = params.coeffs()
-    assert c.mean_beta == pytest.approx(3.5)
-    assert c.deviation_cross == pytest.approx(3 * 6 + 4 * 5)
-    assert c.cost_cross == pytest.approx(0.5 * (1 * 4 + 2 * 3))
-    assert c.beta_product == pytest.approx(12.0)
+@pytest.mark.parametrize("betas, kappas, match", [
+    ((1e-200, 1e-200), (1e-200, 1e-200), r"beta_1 \* beta_2"),
+    ((1e-200, 1e-200), (1.0, 1.0), r"beta_1 \* beta_2"),
+    ((1.0, 1.0), (1e-320, 1e-320), "unless both kappas are 0"),
+    ((1.0, 1.0), (0.0, 1e-320), "unless both kappas are 0"),
+], ids=["all-tiny", "betas-tiny", "kappas-subnormal", "one-kappa-subnormal"])
+def test_underflowing_products_rejected(betas, kappas, match):
+    # each product must be a normal float, so that "unmanaged" means
+    # exactly "both kappas are 0" and no closed form divides by zero
+    with pytest.raises(ValueError, match=match):
+        EconParams(1.0, 1.0, *betas, *kappas, 2.0)
+    assert EconParams(1.0, 1.0, 1e-150, 1e-150, 0.0, 0.0, 2.0).unmanaged
+    assert not EconParams(1.0, 1.0, 1.0, 1.0, 0.0, 1e-300, 2.0).unmanaged
 
 
 class TestRecruitment:

@@ -127,6 +127,31 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}:"):
             canonical.with_overrides({field: value})
 
+    @pytest.mark.parametrize("overrides", [
+        {"econ.price": 3},
+        {"econ.kappa_1": 0, "econ.kappa_2": 2, "bounds.harvest_floor": 1},
+        {"simulation.record_stride": 2.0, "strategy.moratorium_exit_intervals": 3.0},
+        {"simulation.horizon": 50, "strategy.floor_step": 0, "strategy.rate": 1},
+    ])
+    def test_typed_overrides_round_trip(self, canonical, overrides):
+        # a float field takes an int as a float, an int field an integral
+        # float as an int, so to_text reloads to itself
+        text = canonical.with_overrides(overrides).to_text()
+        assert ScenarioConfig.from_text(text).to_text() == text
+
+    @pytest.mark.parametrize("field, value", [
+        ("simulation.record_stride", 2.5),
+        ("strategy.moratorium_exit_intervals", True),
+        ("simulation.record_stride", float("inf")),
+        ("econ.price", True),
+    ])
+    def test_typed_override_of_wrong_kind_rejected(self, canonical, field, value):
+        section, key = field.split(".")
+        kind = "float" if section == "econ" else "int"
+        with pytest.raises(ConfigError) as info:
+            canonical.with_overrides({field: value})
+        assert str(info.value) == f"[{section}] {key}: expected {kind}, got {value!r}"
+
     @pytest.mark.parametrize("old, key, value, message", [
         ("name = conservative", "name", "foo", "expected Strategy, got 'foo'"),
         ("initial_maturity = emerging", "initial_maturity", "old",
@@ -347,6 +372,14 @@ class TestSweepCommand:
         assert [row[2] for row in rows] == ["viable", "error: ConfigError"]
         assert rows[1][:2] == [bad, "1"] and rows[1][3:] == ["", "", ""]
 
+    def test_non_integral_int_value_is_error_row(self, canonical_scenario_path, tmp_path):
+        axes = "simulation.record_stride=1:2:3,simulation.horizon=1:1:1"
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", axes]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["viable", "error: ConfigError", "viable"]
+
     def test_sweep_bytes_are_pinned(self, canonical_scenario_path, tmp_path):
         # 18 summarized cells over all three strategies; sweep output must
         # stay byte-identical
@@ -433,6 +466,32 @@ class TestUnmanagedScenario:
                      "--out", str(tmp_path / "first"), "--axes", first_unmanaged]) == 1
         assert "kappa_1, kappa_2" in capsys.readouterr().err
         assert not (tmp_path / "first").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["phase", "--grid", "0.1:2:0:1.5:5:5"],
+    ["simulate"],
+])
+@pytest.mark.parametrize("betas, kappas, product", [
+    ("1e-200", "1e-200", "beta_1 * beta_2"),
+    ("1e-200", "1.0", "beta_1 * beta_2"),
+    ("1.0", "1e-320", "beta_1 * kappa_2 + beta_2 * kappa_1"),
+])
+def test_underflowing_econ_products_exit_one(canonical, tmp_path, capsys, argv,
+                                             betas, kappas, product):
+    text = canonical.to_text()
+    for key, value in (("beta", betas), ("kappa", kappas)):
+        for i in (1, 2):
+            text = text.replace(f"{key}_{i} = 1.0", f"{key}_{i} = {value}")
+    path = tmp_path / "tiny.ini"
+    path.write_text(text)
+    out = ["--out", str(tmp_path / "out")] if argv[0] != "check" else []
+    assert main([*argv, "--config", str(path), *out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [econ]: {product} must be a normal float")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, option, spec", [

@@ -180,6 +180,8 @@ class TestCriticalLevels:
 
 
 class TestClassifyRegion:
+    # harvest above (1) or below (-1) the 0.4 floor, under a recommendation
+    # that it reaches (binding) or stays under
     @pytest.mark.parametrize("trend,harvest,binding,expected", [
         (1, 1, True, Region.R1_GROWING_ABOVE_FLOOR),
         (1, -1, True, Region.R2_GROWING_BELOW_FLOOR),
@@ -188,11 +190,26 @@ class TestClassifyRegion:
         (1, 1, False, Region.R0_NON_BINDING),
         (-1, -1, False, Region.R0_NON_BINDING),
     ])
-    def test_table(self, trend, harvest, binding, expected):
-        assert classify_region(trend, harvest, binding) is expected
+    def test_table(self, floors, trend, harvest, binding, expected):
+        h = 0.6 if harvest > 0 else 0.3
+        r = 0.5 * h if binding else h + 0.1
+        assert classify_region(trend, h, r, floors) is expected
 
-    def test_zero_ties_resolve_to_continuation(self):
-        assert classify_region(0, 0, True) is Region.R1_GROWING_ABOVE_FLOOR
+    def test_zero_ties_resolve_to_continuation(self, floors):
+        # zero trend counts as growing, a harvest on the floor as above it
+        assert classify_region(0, 0.4, 0.4, floors) is Region.R1_GROWING_ABOVE_FLOOR
+
+    def test_binding_tolerance(self, floors):
+        assert classify_region(1, 0.5 - 1e-12, 0.5, floors) is Region.R1_GROWING_ABOVE_FLOOR
+        assert classify_region(1, 0.5 - 2e-12, 0.5, floors) is Region.R0_NON_BINDING
+
+    def test_harvest_on_floor_counts_as_above(self, floors):
+        assert classify_region(-1, 0.4, 0.3, floors) is Region.R3_DECLINING_ABOVE_FLOOR
+        below = math.nextafter(0.4, 0.0)
+        assert classify_region(-1, below, 0.3, floors) is Region.R4_DECLINING_BELOW_FLOOR
+
+    def test_nan_harvest_never_binds(self, floors):
+        assert classify_region(1, math.nan, 0.0, floors) is Region.R0_NON_BINDING
 
 
 class TestBiconditionalFlags:
