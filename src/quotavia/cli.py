@@ -58,6 +58,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         handle.writelines(rows)
 
 
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
 def _load(path: str) -> ScenarioConfig:
     if not os.path.exists(path):
         raise ConfigError(f"{path}: no such config file")
@@ -116,11 +123,8 @@ def _cmd_simulate(args) -> int:
     _write_csv(os.path.join(out_dir, cfg.output.trajectory_file),
                ["t", "x", "r", "h", "q1", "q2", "regime", "region",
                 "maturity", "viable_eco", "viable_econ"], rows)
-    events = [{"t": e.t, "kind": e.kind, **e.detail} for e in record.events]
-    with open(os.path.join(out_dir, cfg.output.events_file), "w",
-              encoding="utf-8", newline="\n") as handle:
-        json.dump(events, handle, indent=2)
-        handle.write("\n")
+    _write_json(os.path.join(out_dir, cfg.output.events_file),
+                [{"t": e.t, "kind": e.kind, **e.detail} for e in record.events])
     summary = summarize(record)
     print(f"samples: {len(record.samples)}  events: {len(record.events)}  "
           f"terminal stock: {_fmt(summary.terminal_stock)}  "
@@ -172,10 +176,7 @@ def _cmd_phase(args) -> int:
         "case_order": levels.case_order.value,
         "stock_floor": cfg.bounds.stock_floor,
     }
-    with open(os.path.join(args.out, "phase_levels.json"), "w",
-              encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_json(os.path.join(args.out, "phase_levels.json"), payload)
     print(f"wrote {len(xs) * len(rs)} grid rows")
     return 0
 

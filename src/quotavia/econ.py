@@ -59,6 +59,11 @@ class Regime(Enum):
     SHUTDOWN_RESTRICTED = "shutdown_restricted"
 
 
+# Bound once: a member lookup on the Enum class costs about ten times a
+# module-name lookup, and _nash_point returns a member per solve.
+BINDING, NON_BINDING, SHUTDOWN_UNPROFITABLE, SHUTDOWN_RESTRICTED = Regime
+
+
 @dataclass(frozen=True)
 class EconParams:
     """Cost, deviation-cost and price parameters of the two fishing groups.
@@ -220,8 +225,8 @@ def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, f
 
     if w == 0.0 or free <= r + BOUNDARY_TOL:
         if free <= BOUNDARY_TOL:
-            return 0.0, 0.0, 0.0, Regime.SHUTDOWN_UNPROFITABLE
-        return free1, free2, free, Regime.NON_BINDING
+            return 0.0, 0.0, 0.0, SHUTDOWN_UNPROFITABLE
+        return free1, free2, free, NON_BINDING
 
     # The agreed total will exceed r, so deviation costs shape the outcome.
     if opt1 >= 0.0 and opt2 >= 0.0:
@@ -248,14 +253,14 @@ def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, f
         q1 = 0.0
 
     if h > BOUNDARY_TOL:
-        return q1, q2, h, Regime.BINDING
+        return q1, q2, h, BINDING
     # Restricted shutdown: free fishing would land a catch above the
     # tolerance, but deviation costs pull the agreed total below it.  Rare,
     # yet reachable: EconParams(1, 1, 1, 1, 1e6, 1e6, 1) at x = 1 + 4e-12,
     # r = 0 gives free = 2e-12 and h = 2e-18.
     if free > BOUNDARY_TOL:
-        return q1, q2, h, Regime.SHUTDOWN_RESTRICTED
-    return q1, q2, h, Regime.SHUTDOWN_UNPROFITABLE
+        return q1, q2, h, SHUTDOWN_RESTRICTED
+    return q1, q2, h, SHUTDOWN_UNPROFITABLE
 
 
 def total_harvest(params: EconParams, x: float, r: float) -> NegotiationOutcome:

@@ -3,10 +3,12 @@
 The stock follows ``dx/dt = growth(x) - harvest(x, r)``.  The recommendation
 ``r`` is piecewise constant between controller decisions; the negotiated
 harvest reacts to the stock instantaneously, so the integrator re-solves the
-negotiation at every Runge-Kutta stage; the first stage reuses the solve that
-is recorded for the step's sample.  Violations of the viability floors,
-region crossings, moratorium transitions and extinction are recorded as
-time-stamped events.
+negotiation at every Runge-Kutta stage; the first stage reuses the solve at
+the stock itself that is recorded for the step's sample.  Violations of the
+viability floors, region crossings, moratorium transitions and extinction
+are recorded as time-stamped events.  A step that takes the stock to or
+below 0 sets it to exactly 0 and logs one extinction event; the stock then
+stays at 0, where the negotiation lands no catch.
 """
 
 from __future__ import annotations
@@ -171,7 +173,6 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     events: list[Event] = []
     samples: list[Sample] = []
     x = cfg.initial_stock
-    extinct = False
     trend = settings.initial_trend if settings.initial_trend is not None else 1
     prev_control_x = x
     qualitative = settings.strategy is Strategy.QUALITATIVE
@@ -183,7 +184,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
             state.recommendation = conservative_recommend(params, bounds, x)
         else:
             h = _nash_point(params, x, state.recommendation)[2]
-            if state.moratorium or extinct:
+            if state.moratorium:
                 h = 0.0
             was_moratorium = state.moratorium
             qualitative_step(state, classify_region(trend, h, state.recommendation, bounds))
@@ -236,17 +237,12 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
             control_update(t)
 
         r = state.recommendation
-        q1, q2, h, regime = _nash_point(params, max(x, 1e-300), r)
-        idle = state.moratorium or extinct
-        if idle:
+        q1, q2, h, regime = _nash_point(params, x, r)
+        if state.moratorium:
             q1 = q2 = h = 0.0
-        # The recorded solve clamps the stock at 1e-300; the region and RK
-        # stage k1 need the harvest at x itself, which below that clamp
-        # takes a solve of its own.
-        h_x = h if idle or x >= 1e-300 else _nash_point(params, x, r)[2]
 
         if k == 0 or decides:
-            new_region = classify_region(trend, h_x, r, bounds)
+            new_region = classify_region(trend, h, r, bounds)
             if k > 0 and new_region is not region:
                 events.append(Event(t, EVENT_REGION,
                                     {"from": region.value, "to": new_region.value}))
@@ -268,14 +264,13 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         if k == n_steps:
             break
 
-        if idle:
+        if state.moratorium:
             x_next = _rk4(regrowth, x, dt, regrowth(x))
         else:
-            x_next = _rk4(closed_loop, x, dt, growth * x * (1.0 - x / capacity) - h_x)
-        if x_next <= 0.0:
-            if not extinct:
-                events.append(Event((k + 1) * dt, EVENT_EXTINCTION))
-                extinct = True
+            x_next = _rk4(closed_loop, x, dt, growth * x * (1.0 - x / capacity) - h)
+        # from x = 0 both right-hand sides give exactly 0, so the stock stays there
+        if x_next <= 0.0 < x:
+            events.append(Event((k + 1) * dt, EVENT_EXTINCTION))
             x_next = 0.0
         x = x_next
 

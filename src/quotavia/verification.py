@@ -31,7 +31,6 @@ from .viability import (
     ViabilityBounds,
     catch_within_recruitment_flags,
     check_viability_domain,
-    recommendation_ceiling,
     recommendation_floor,
     recruitment_meets_floor_flags,
 )
@@ -265,10 +264,7 @@ def floor_biconditional_suite(seed: int = DEFAULT_SEED,
         if h_lo <= 0.0:
             continue
         bounds = ViabilityBounds(stock_floor=x_lo, harvest_floor=h_lo)
-        floor_lo = recommendation_floor(params, bounds, x_lo)
-        viable = (unmanaged_harvest(params, x_lo) >= floor_lo
-                  and max(floor_lo, recommendation_ceiling(params, rec, x_lo)) >= 0.0)
-        if not viable:
+        if not check_viability_domain(params, rec, bounds).viable:
             continue
         x = float(rng.uniform(x_lo, capacity))
         if not _interior_negotiation(params, x):

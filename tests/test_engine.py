@@ -2,7 +2,9 @@
 
 import math
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from quotavia import (
     EconParams,
@@ -218,18 +220,57 @@ class TestCrisisRun:
         assert all(s.h == 0.0 for s in record.samples if s.t < end)
 
 
-def test_forced_extinction_event(symmetric_params, floors):
-    # overharvest a slow-growing stock: extinction is clamped and flagged
+@pytest.mark.parametrize("strategy", [Strategy.ICHTHYOCENTRIC, Strategy.QUALITATIVE])
+def test_forced_extinction_event(strategy, floors):
+    # overharvest a slow-growing stock: extinction is clamped and flagged once,
+    # and the stock stays at exactly 0 with zero catch
     slow = Recruitment(growth=0.01, capacity=2.0)
     brutal = EconParams(0.001, 0.001, 0.01, 0.01, 0.1, 0.1, 10.0)
     record = simulate(brutal, slow, floors,
-                      SimConfig(initial_stock=0.05,
-                                settings=settings(Strategy.ICHTHYOCENTRIC),
+                      SimConfig(initial_stock=0.05, settings=settings(strategy),
                                 dt=0.01, horizon=5.0, control_interval=0.1))
-    event = record.first_event(EVENT_EXTINCTION)
-    assert event is not None
-    assert record.samples[-1].x == 0.0
-    assert all(s.h == 0.0 for s in record.samples if s.t > event.t)
+    extinctions = [e for e in record.events if e.kind == EVENT_EXTINCTION]
+    assert len(extinctions) == 1
+    after = [s for s in record.samples if s.t >= extinctions[0].t]
+    assert after
+    assert all(s.x == s.h == s.q_1 == s.q_2 == 0.0 for s in after)
+
+
+def _between(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def short_runs(draw):
+    """Random valid scenarios over wide ranges, one in seven unmanaged,
+    with stocks down to 1e-320 and horizons up to one time unit."""
+    alphas = [draw(_between(1e-3, 10.0)) for _ in range(2)]
+    betas = [draw(_between(0.01, 10.0)) for _ in range(2)]
+    kappas = ([0.0, 0.0] if draw(st.integers(0, 6)) == 0
+              else [draw(_between(0.01, 10.0)) for _ in range(2)])
+    params = EconParams(*alphas, *betas, *kappas, draw(_between(0.1, 3000.0)))
+    rec = Recruitment(draw(_between(0.005, 5.0)), draw(_between(0.5, 8.0)))
+    stock_floor = rec.capacity * draw(_between(0.05, 0.9))
+    bounds = ViabilityBounds(stock_floor, rec.rate(stock_floor) * draw(_between(0.05, 1.2)))
+    strategy = draw(st.sampled_from([Strategy.ICHTHYOCENTRIC, Strategy.QUALITATIVE]))
+    control = StrategySettings(
+        strategy,
+        initial_recommendation=draw(st.none() | _between(0.0, 10.0)),
+        initial_maturity=draw(st.sampled_from(list(Maturity))),
+        initial_trend=draw(st.sampled_from([None, 1, -1])))
+    cfg = SimConfig(initial_stock=draw(_between(1e-320, 2.0 * rec.capacity)),
+                    settings=control, dt=0.01, horizon=draw(_between(0.1, 1.0)),
+                    control_interval=0.1)
+    return params, rec, bounds, cfg
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(run=short_runs())
+def test_simulate_never_raises_and_stays_finite(run):
+    # the conservative strategy is left out: its recommendation is undefined
+    # at x = 0 and overflows at subnormal stocks (ROADMAP item 2)
+    record = simulate(*run)
+    assert all(math.isfinite(v) for s in record.samples for v in s[:6])
 
 
 def test_event_completeness(symmetric_params, logistic, floors):
@@ -252,12 +293,20 @@ def test_determinism(symmetric_params, logistic, floors):
     assert first.events == second.events
 
 
-@pytest.mark.parametrize("scenario, solves", [("canonical", 80_001), ("crisis", 81_852)])
-def test_nash_solves_per_run(scenario, solves, request, monkeypatch):
-    # per step one recorded solve, which RK stage k1 and the region
-    # classification reuse, plus stages k2-k4 outside a moratorium; the
-    # qualitative controller adds one solve per decision
+@pytest.mark.parametrize("scenario, overrides, solves", [
+    pytest.param("canonical", {}, 80_001, id="canonical-80001"),
+    pytest.param("crisis", {}, 81_852, id="crisis-81852"),
+    # a subnormal stock takes the same single recorded solve per step
+    pytest.param("canonical", {"strategy.name": "qualitative", "simulation.initial_stock": 1e-310,
+                               "simulation.horizon": 1.0}, 411, id="subnormal-411"),
+])
+def test_nash_solves_per_run(scenario, overrides, solves, request, monkeypatch):
+    # per step one recorded solve at the stock itself, which RK stage k1 and
+    # the region classification reuse, plus stages k2-k4 outside a moratorium
+    # at a positive stock; the qualitative controller adds one solve per
+    # decision
     cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
+    cfg = cfg.with_overrides(overrides)
     calls = 0
     solve = engine._nash_point
 
