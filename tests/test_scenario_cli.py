@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import pytest
 
@@ -27,6 +28,12 @@ PHASE_DIGESTS = {
     "phase_grid.csv": "319bde3092285fd8d8cc207d2df619cd6b36c25dcdbd1c27e3e95c8a089e1845",
     "phase_levels.json": "4df859c67ba27f4134a98b092ddb8ab1ef0fa0c377970482ebca48e3dddbb723",
 }
+# three strategies x 8 prices x 8 stocks, reaching the extinction corner
+EXTINCTION_CORNER_AXES = (
+    "strategy.name=ichthyocentric|conservative|qualitative,"
+    "econ.price=0.3|1.0|3.0|10.0|30.0|100.0|300.0|3000.0,"
+    "simulation.initial_stock=0.1:2.0:8,simulation.horizon=2:2:1")
+EXTINCTION_CORNER_DIGEST = "1e532cf81a094b2a743c38e99e0e67b182bfca52751f5d6812f82526599a1bd6"
 
 
 def sha256_of(path) -> str:
@@ -390,6 +397,24 @@ class TestSweepCommand:
                      "simulation.horizon=2:2:1"]) == 0
         digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
         assert digest == "373144227093073da0b951a7528f20dae835f18da91795c3c84cf8641491e907"
+
+    def test_extinction_corner_bytes_are_pinned(self, canonical_scenario_path, tmp_path):
+        # 192 cells, enough for one lockstep group; the conservative cells at
+        # prices 300 and 3000 are error: ValueError rows
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", EXTINCTION_CORNER_AXES]) == 0
+        assert sha256_of(tmp_path / "sweep.csv") == EXTINCTION_CORNER_DIGEST
+        assert (tmp_path / "sweep.csv").read_text().count("error: ValueError") == 16
+
+    def test_no_floating_point_warnings(self, canonical_scenario_path, tmp_path, capsys):
+        # a warning turned into an exception would abort the sweep or turn a
+        # cell into an error row, which the digest would show
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", canonical_scenario_path,
+                         "--out", str(tmp_path), "--axes", EXTINCTION_CORNER_AXES]) == 0
+        assert capsys.readouterr().err == ""
+        assert sha256_of(tmp_path / "sweep.csv") == EXTINCTION_CORNER_DIGEST
 
     def test_harvest_floor_axis_flips_at_recruitment(self, canonical, tmp_path):
         text = canonical.to_text().replace("horizon = 200.0", "horizon = 120.0")
