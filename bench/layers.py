@@ -47,7 +47,10 @@ Measured, one process, one thread:
   (so it also holds the config load and the critical levels);
 * ``phase_200x200_s``: the whole ``phase`` command on that grid;
 * ``sweep_192_s``: the whole ``sweep`` command on the benchmark's
-  192-cell grid (``perfbench/workloads.py``, seed 1).
+  192-cell grid (``perfbench/workloads.py``, seed 1);
+* ``sweep_ns_per_cell_step``: ``engine.sweep`` on that grid with every
+  cell's inputs built beforehand, so that ``ScenarioConfig.with_overrides``
+  stays outside the timing, per cell and RK4 step (192 cells of 200 steps).
 
 This is a tool for before/after numbers, not a test; nothing in it checks
 the outputs (``perfbench/run.py`` does).
@@ -65,6 +68,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import copy  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -143,6 +147,29 @@ def sweep_axes(root: str) -> str:
     return sweep.axes
 
 
+def prebuilt_sweep(cli, cfg, axes: str):
+    """``engine.sweep``'s arguments for the ``sweep`` command on ``axes``,
+    with a ``build`` that hands out inputs built here, and the RK4 steps
+    of the cells that built."""
+    axes = cli._parse_axes(axes)
+    fields = [field for field, _ in axes]
+    built, steps = {}, 0
+    for combo in itertools.product(*(values for _, values in axes)):
+        try:
+            built[combo] = inputs = cli._simulation_inputs(
+                cfg.with_overrides(dict(zip(fields, combo))))
+            steps += round(inputs[3].horizon / inputs[3].dt)
+        except Exception as exc:
+            built[combo] = exc
+
+    def build(overrides: dict):
+        inputs = built[tuple(overrides.values())]
+        if isinstance(inputs, Exception):
+            raise inputs
+        return inputs
+    return build, axes, steps
+
+
 def measure(root: str, repeat: int) -> dict:
     """Time every layer once per repeat, the layers in turn, so that each
     layer's repeats spread over the whole run and its minimum is not left to
@@ -181,6 +208,7 @@ def measure(root: str, repeat: int) -> dict:
             return (f"simulate_ns_per_step_{name}", "ns", round(sim.horizon / sim.dt),
                     lambda: simulate(params, rec, bounds, sim))
 
+        build, axes, cell_steps = prebuilt_sweep(cli, cfg, sweep_axes(root))
         calls = captured(engine, ("_rk4", "qualitative_step"),
                          lambda: simulate(*ScenarioConfig.from_file(crisis).build()))
         rk4, decide = engine._rk4, engine.qualitative_step
@@ -215,6 +243,7 @@ def measure(root: str, repeat: int) -> dict:
             ("sweep_192_s", "s", 1,
              lambda axes=sweep_axes(root): cli_main(["sweep", "--config", canonical,
                                                      "--out", out, "--axes", axes])),
+            ("sweep_ns_per_cell_step", "ns", cell_steps, lambda: engine.sweep(build, axes)),
         ]
         prepare = {"decision_ns_per_call": copy_states}
         for name, *_, call in layers:   # one untimed round: lazy imports, caches

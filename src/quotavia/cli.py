@@ -233,13 +233,17 @@ def _cmd_sweep(args) -> int:
     _simulation_inputs(cfg.with_overrides({field: values[0] for field, values in axes}))
     os.makedirs(args.out, exist_ok=True)
 
-    rows = [_sweep_row(cell) for cell in
-            sweep(lambda overrides: _simulation_inputs(cfg.with_overrides(overrides)), axes)]
+    cells = sweep(lambda overrides: _simulation_inputs(cfg.with_overrides(overrides)), axes)
+    fields = [field for field, _ in axes]
     _write_csv(os.path.join(args.out, "sweep.csv"),
-               [*(field for field, _ in axes), "verdict", "first_violation_time",
-                "terminal_x", "mean_h"],
-               rows)
-    print(f"wrote {len(rows)} sweep cells")
+               [*fields, "verdict", "first_violation_time", "terminal_x", "mean_h"],
+               map(_sweep_row, cells))
+    # the full message of each error row, which sweep.csv names by type only
+    _write_json(os.path.join(args.out, "sweep_errors.json"),
+                [{"cell": index, "axes": dict(zip(fields, map(_fmt, cell.values))),
+                  "error": cell.error}
+                 for index, cell in enumerate(cells) if cell.error is not None])
+    print(f"wrote {len(cells)} sweep cells")
     return 0
 
 

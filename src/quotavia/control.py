@@ -12,17 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .econ import EconParams, Recruitment
-from .viability import (R0, R1, R2, R3, R4, Maturity, Region, ViabilityBounds,
-                         recommendation_floor)
+from .viability import (EMERGING, MATURE, R0, R1, R2, R3, R4, Maturity, Region,
+                         ViabilityBounds, recommendation_floor)
 
 __all__ = [
     "Strategy",
     "StrategySettings",
     "ControllerState",
+    "ControllerArrays",
     "ichthyocentric_recommend",
     "conservative_recommend",
     "qualitative_step",
+    "qualitative_steps",
 ]
 
 
@@ -30,6 +34,11 @@ class Strategy(Enum):
     ICHTHYOCENTRIC = "ichthyocentric"
     CONSERVATIVE = "conservative"
     QUALITATIVE = "qualitative"
+
+
+# Bound once, as econ binds Regime: a member lookup on the Enum class costs
+# about ten times a module-name lookup, and every decision makes one.
+ICHTHYOCENTRIC, CONSERVATIVE, QUALITATIVE = Strategy
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,7 @@ class StrategySettings:
     rate: float = 0.05                       # multiplicative step per control interval
     floor_step: float | None = None          # None -> 1e-3 * peak recruitment
     initial_recommendation: float | None = None
-    initial_maturity: Maturity = Maturity.EMERGING
+    initial_maturity: Maturity = EMERGING
     initial_trend: int | None = None
     moratorium_exit_intervals: int = 5       # growing intervals that lift a moratorium
 
@@ -76,7 +85,7 @@ class ControllerState:
     settings: StrategySettings
     floor_step: float               # additive minimum increase, lets r leave 0
     recommendation: float = 0.0
-    maturity: Maturity = Maturity.EMERGING
+    maturity: Maturity = EMERGING
     moratorium: bool = False
     growth_streak: int = 0
 
@@ -113,12 +122,68 @@ def qualitative_step(state: ControllerState, region: Region) -> ControllerState:
             state.growth_streak = 0
     elif region is R0 or region is R3:
         state.recommendation /= 1.0 + state.settings.rate
-    elif region is R4 and state.maturity is Maturity.MATURE:
+    elif region is R4 and state.maturity is MATURE:
         state.moratorium = True
         state.recommendation = 0.0
         state.growth_streak = 0
     else:
         if region is R1:
-            state.maturity = Maturity.MATURE
+            state.maturity = MATURE
         state.recommendation += max(state.settings.rate * state.recommendation, state.floor_step)
     return state
+
+
+@dataclass
+class ControllerArrays:
+    """The ``ControllerState`` of many cells, one array entry per cell: the
+    controllers of a lockstep ensemble (``engine.sweep``)."""
+
+    rate: np.ndarray
+    floor_step: np.ndarray
+    exit_intervals: np.ndarray
+    recommendation: np.ndarray
+    mature: np.ndarray
+    moratorium: np.ndarray
+    growth_streak: np.ndarray
+
+    @classmethod
+    def stack(cls, states: list[ControllerState]) -> "ControllerArrays":
+        def column(read, dtype):
+            return np.array([read(s) for s in states], dtype=dtype)
+        return cls(column(lambda s: s.settings.rate, float),
+                   column(lambda s: s.floor_step, float),
+                   column(lambda s: s.settings.moratorium_exit_intervals, np.int64),
+                   column(lambda s: s.recommendation, float),
+                   column(lambda s: s.maturity is MATURE, bool),
+                   column(lambda s: s.moratorium, bool),
+                   column(lambda s: s.growth_streak, np.int64))
+
+
+def qualitative_steps(states: ControllerArrays, deciding: np.ndarray,
+                      region: np.ndarray) -> None:
+    """:func:`qualitative_step` for every cell where ``deciding`` is set, as
+    masked updates; ``region`` holds each cell's ``Region`` index
+    (``viability.region_codes``).  Each branch of the rule table is a mask
+    of the cells that take it, and its update runs the scalar operations,
+    so every cell moves as its own ``qualitative_step`` would move it."""
+    rec, streak, moratorium = states.recommendation, states.growth_streak, states.moratorium
+    held = deciding & moratorium
+    free = deciding & ~moratorium
+    # in a moratorium: count the growing intervals, lift it after enough
+    np.copyto(streak, np.where((region == 1) | (region == 2), streak + 1, 0), where=held)
+    lifted = held & (streak >= states.exit_intervals)
+    moratorium[lifted] = False
+    streak[lifted] = 0
+    # R0 and R3 lower the recommendation
+    lower = free & ((region == 0) | (region == 3))
+    np.copyto(rec, rec / (1.0 + states.rate), where=lower)
+    # R4 closes a mature fishery
+    close = free & (region == 4) & states.mature
+    moratorium[close] = True
+    rec[close] = 0.0
+    streak[close] = 0
+    # every other region raises it, and R1 matures the fishery
+    grow = free & ~lower & ~close
+    states.mature[grow & (region == 1)] = True
+    step = states.rate * rec
+    np.copyto(rec, rec + np.where(states.floor_step > step, states.floor_step, step), where=grow)

@@ -289,51 +289,68 @@ def harvest_level(params: EconParams, x: float, r: float) -> float:
 _BLOCK_POINTS = 1 << 14
 
 
-def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
-    """Negotiated total harvest on the (x, r) grid: the array form of
-    :func:`_nash_point`.
+def _block_rows(value, rows: slice):
+    """The rows of a block: a column of per-row values is sliced, a value
+    shared by every row (a float, or the grid's row of recommendations) is
+    used as is."""
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] > 1:
+        return value[rows]
+    return value
 
-    Runs the same branches with the same operations, so every grid point
-    equals the scalar solve bit for bit.  The scalar form stays for
-    point-by-point loops, where one numpy call per point would cost
-    tens of times more than the solve itself.
 
-    The terms that depend on ``x`` alone are computed once, as columns.
-    The grid is then evaluated a few rows at a time, so that every
-    temporary holds about ``_BLOCK_POINTS`` values and stays in cache; each
-    block's interior harvest is written straight into the result, the
-    non-deviating points overwrite it, and the single-group branches are
-    built only for a block that has a point in neither of those two.
+def harvest_curve(params: EconParams, x_values, r_values, *,
+                  pointwise: bool = False) -> np.ndarray:
+    """Negotiated total harvest: the array form of :func:`_nash_point`.
+
+    Two call shapes run the one body.  On a grid (the default) the result
+    is ``h[i, j]`` at stock ``x_values[i]`` and recommendation
+    ``r_values[j]``.  With ``pointwise`` the two are paired, ``h[i]`` at
+    ``x_values[i]`` and ``r_values[i]``, and any field of ``params`` may be
+    an ``(n, 1)`` column of per-point values instead of a float: one
+    lockstep step of an ensemble of fisheries (``engine.sweep``).
+
+    Runs the same branches with the same operations, so every point equals
+    the scalar solve bit for bit.  The scalar form stays for point-by-point
+    loops, where one numpy call per point would cost tens of times more
+    than the solve itself.
+
+    The terms that depend on ``x`` (and the parameters) alone are computed
+    once, as columns.  A grid is then evaluated a few rows at a time, so
+    that every temporary holds about ``_BLOCK_POINTS`` values and stays in
+    cache; each block's interior harvest is written straight into the
+    result, the non-deviating points overwrite it, and the single-group
+    branches are built only for a block that has a point in neither of
+    those two.
     """
     X = np.asarray(x_values, dtype=float).reshape(-1, 1)
-    R = np.asarray(r_values, dtype=float).reshape(1, -1)
+    R = np.asarray(r_values, dtype=float).reshape((-1, 1) if pointwise else (1, -1))
     p = params.price
     b1, b2 = params.beta_1, params.beta_2
     k1, k2 = params.kappa_1, params.kappa_2
-    gain1 = p * X - params.alpha_1
-    gain2 = p * X - params.alpha_2
+    px = p * X
+    gain1 = px - params.alpha_1
+    gain2 = px - params.alpha_2
     opt1 = gain1 / (2.0 * b1)
     opt2 = gain2 / (2.0 * b2)
     # as in _nash_point: a negative or NaN optimum adds 0; a free catch <= BOUNDARY_TOL lands 0
     free = np.where(opt1 > 0.0, opt1, 0.0) + np.where(opt2 > 0.0, opt2, 0.0)
     landed = np.where(free > BOUNDARY_TOL, free, 0.0)
     w = b1 * k2 + b2 * k1
-    shape = (X.size, R.size)
-    if w == 0.0:
-        return np.broadcast_to(landed, shape).copy()
-
-    r_tol = R + BOUNDARY_TOL
+    # without deviation costs every point is non-deviating; free is never
+    # NaN, so an infinite tolerance marks exactly those points
+    r_tol = np.where(w == 0.0, np.inf, R + BOUNDARY_TOL)
     wx = w * X
     num = 0.5 * (b2 * gain1 + b1 * gain2)
     den = b1 * b2 + wx
     kx1 = k1 * X
     kx2 = k2 * X
     both = (opt1 >= 0.0) & (opt2 >= 0.0)
-    alone2 = ~both & ~(opt1 > 0.0)  # not both may fish, and group 1 has no catch
+    alone2 = None   # built when a block first needs the single-group branches
 
+    shape = (X.size, 1 if pointwise else R.size)
     out = np.empty(shape)
-    rows = max(1, _BLOCK_POINTS // max(R.size, 1))
-    block = (min(rows, X.size), R.size)
+    rows = max(1, _BLOCK_POINTS // max(shape[1], 1))
+    block = (min(rows, X.size), shape[1])
     q1_buf, q2_buf = np.empty(block), np.empty(block)
     nondev_buf, interior_buf, settled_buf = (np.empty(block, dtype=bool) for _ in range(3))
     for lo in range(0, X.size, rows):
@@ -341,20 +358,22 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
         n = c.stop - lo
         hb, q1, q2 = out[c], q1_buf[:n], q2_buf[:n]
         nondev, interior, settled = nondev_buf[:n], interior_buf[:n], settled_buf[:n]
+        Rc = _block_rows(R, c)
+        B1, B2 = _block_rows(b1, c), _block_rows(b2, c)
         # interior branch, in the operation order of _nash_point; q2 holds
         # the excess over the recommendation until q1 is done
-        np.multiply(wx[c], R, out=hb)
+        np.multiply(wx[c], Rc, out=hb)
         np.add(num[c], hb, out=hb)
         np.divide(hb, den[c], out=hb)
-        np.subtract(hb, R, out=q2)
+        np.subtract(hb, Rc, out=q2)
         np.multiply(kx1[c], q2, out=q1)
-        np.divide(q1, b1, out=q1)
+        np.divide(q1, B1, out=q1)
         np.subtract(opt1[c], q1, out=q1)
         np.multiply(kx2[c], q2, out=q2)
-        np.divide(q2, b2, out=q2)
+        np.divide(q2, B2, out=q2)
         np.subtract(opt2[c], q2, out=q2)
 
-        np.less_equal(free[c], r_tol, out=nondev)
+        np.less_equal(free[c], _block_rows(r_tol, c), out=nondev)
         np.greater_equal(q1, 0.0, out=interior)
         np.greater_equal(q2, 0.0, out=settled)
         np.logical_and(interior, settled, out=interior)
@@ -371,6 +390,8 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
         # such point, a NaN interior quota included.  Each group's mask and
         # quota reuse spent buffers, the quota the one that held the other
         # group's interior quota.
+        if alone2 is None:
+            alone2 = ~both & ~(opt1 > 0.0)  # not both may fish, and group 1 has no catch
         rest = np.logical_not(settled, out=settled)
         np.copyto(hb, 0.0, where=rest)
         solo2, solo1 = nondev, interior
@@ -379,16 +400,16 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
         np.logical_or(solo2, alone2[c], out=solo2)
         np.logical_and(solo2, rest, out=solo2)
         np.logical_xor(rest, solo2, out=solo1)
-        for solo, q, gain, kx, b, k in ((solo2, q1, gain2, kx2, b2, k2),
-                                        (solo1, q2, gain1, kx1, b1, k1)):
+        for solo, q, gain, kx, b, k in ((solo2, q1, gain2, kx2, B2, k2),
+                                        (solo1, q2, gain1, kx1, B1, k1)):
             if not solo.any():
                 continue
-            np.multiply(2.0 * k * X[c], R, out=q)
+            np.multiply(2.0 * _block_rows(k, c) * X[c], Rc, out=q)
             np.add(gain[c], q, out=q)
             np.divide(q, 2.0 * (b + kx[c]), out=q)
             np.logical_and(solo, q > 0.0, out=solo)  # else the 0.0 written above
             np.copyto(hb, q, where=solo)
-    return out
+    return out.reshape(-1) if pointwise else out
 
 
 def profit(params: EconParams, group: int, q_own: float, q_other: float,

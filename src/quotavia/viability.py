@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .econ import (
     EconParams,
     Recruitment,
@@ -32,6 +34,7 @@ __all__ = [
     "check_viability_domain",
     "critical_levels",
     "classify_region",
+    "region_codes",
     "recruitment_meets_floor_flags",
     "catch_within_recruitment_flags",
     "phase_rows",
@@ -71,6 +74,9 @@ R0, R1, R2, R3, R4 = Region
 class Maturity(Enum):
     EMERGING = "emerging"
     MATURE = "mature"
+
+
+EMERGING, MATURE = Maturity
 
 
 class CaseOrder(Enum):
@@ -258,6 +264,17 @@ def classify_region(trend_sign: int, h: float, r: float,
     if trend_sign >= 0:
         return R1 if above else R2
     return R3 if above else R4
+
+
+def region_codes(trend_sign: np.ndarray, h: np.ndarray, r: np.ndarray,
+                 harvest_floor: np.ndarray) -> np.ndarray:
+    """:func:`classify_region` of many cells at once, each cell's region as
+    its index in ``Region`` (0 for R0 up to 4 for R4), from the same
+    comparisons."""
+    codes = np.where(h >= harvest_floor, 1, 2)            # R1 or R2
+    codes += np.where(trend_sign >= 0, 0, 2)              # R3 or R4
+    codes[~(h + _SIGN_TOL >= r)] = 0
+    return codes
 
 
 def recruitment_meets_floor_flags(params: EconParams, rec: Recruitment,

@@ -1,6 +1,8 @@
 """Simulation engine: integration accuracy, events, determinism, sweeps."""
 
+import itertools
 import math
+import struct
 
 import hypothesis
 import pytest
@@ -413,6 +415,37 @@ class TestSweep:
         assert not cells[0].violated
         assert cells[1].violated
 
+    def test_batches_and_lockstep_runs_keep_every_cell(self, logistic, floors, monkeypatch):
+        # 7-cell build batches, lockstep runs of at most 3 cells (31 samples
+        # of 30 steps each), two time grids and failing builds in between:
+        # every cell as its own simulate gives it, in row-major order
+        def build(overrides):
+            if overrides["econ.price"] == 2.5 and overrides["simulation.dt"] == 0.02:
+                raise ValueError("boom")
+            params = EconParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, overrides["econ.price"])
+            cfg = SimConfig(initial_stock=1.2, settings=settings(overrides["strategy.name"]),
+                            dt=overrides["simulation.dt"], horizon=30 * overrides["simulation.dt"],
+                            control_interval=0.1)
+            return params, logistic, floors, cfg
+
+        axes = [("simulation.dt", [0.01, 0.02]), ("strategy.name", list(Strategy)),
+                ("econ.price", [1.5, 2.0, 2.5, 300.0])]
+        monkeypatch.setattr(engine, "_SWEEP_BATCH", 7)
+        monkeypatch.setattr(engine, "_KEPT_HARVESTS", 100)
+        monkeypatch.setattr(engine, "_LOCKSTEP_MIN_CELLS", 2)
+        runs = []
+        real = engine._lockstep
+        monkeypatch.setattr(engine, "_lockstep", lambda cells: runs.append(len(cells)) or real(cells))
+        cells = sweep(build, axes)
+        expected = [engine._failed((dt, name, price), ValueError("boom"))
+                    if price == 2.5 and dt == 0.02 else
+                    engine._simulated((dt, name, price), *build({"simulation.dt": dt,
+                                                                 "strategy.name": name,
+                                                                 "econ.price": price}))
+                    for dt, name, price in itertools.product(*(v for _, v in axes))]
+        assert [_bits(cell) for cell in cells] == [_bits(cell) for cell in expected]
+        assert runs and max(runs) == 3
+
     def test_failed_cell_recorded_not_raised(self, symmetric_params, logistic, floors):
         def build(overrides):
             if overrides["econ.price"] > 2.0:
@@ -422,3 +455,123 @@ class TestSweep:
         cells = sweep(build, [("econ.price", [2.0, 3.0])])
         assert cells[0].error is None
         assert cells[1].error == "ValueError: boom"
+
+
+def _bits(cell):
+    """A CellResult with every float as its IEEE bytes, so NaN and -0.0
+    compare exactly."""
+    def pack(v):
+        return None if v is None else struct.pack("<d", v)
+    return (cell.values, cell.violated, pack(cell.first_violation),
+            pack(cell.terminal_stock), pack(cell.mean_harvest), cell.error)
+
+
+def _scalar(cells):
+    return [_bits(engine._simulated(*cell)) for cell in cells]
+
+
+@st.composite
+def lockstep_cells(draw, dt, per_control, steps, stride):
+    """One random cell on the given time grid: all three strategies, one
+    fishery in seven unmanaged (a conservative one then raises), stocks
+    down to 1e-320."""
+    alphas = [draw(_between(1e-3, 10.0)) for _ in range(2)]
+    betas = [draw(_between(0.01, 10.0)) for _ in range(2)]
+    kappas = ([0.0, 0.0] if draw(st.integers(0, 6)) == 0
+              else [draw(_between(0.01, 10.0)) for _ in range(2)])
+    params = EconParams(*alphas, *betas, *kappas, draw(_between(0.1, 3000.0)))
+    rec = Recruitment(draw(_between(0.005, 5.0)), draw(_between(0.5, 8.0)))
+    stock_floor = rec.capacity * draw(_between(0.05, 0.9))
+    bounds = ViabilityBounds(stock_floor, rec.rate(stock_floor) * draw(_between(0.05, 1.2)))
+    control = StrategySettings(
+        draw(st.sampled_from(list(Strategy))),
+        rate=draw(_between(0.01, 0.5)),
+        floor_step=draw(st.none() | _between(0.0, 0.1)),
+        initial_recommendation=draw(st.none() | _between(0.0, 10.0)),
+        initial_maturity=draw(st.sampled_from(list(Maturity))),
+        initial_trend=draw(st.sampled_from([None, 1, -1])),
+        moratorium_exit_intervals=draw(st.integers(1, 5)))
+    stock = draw(_between(1e-320, 2.0 * rec.capacity) | st.sampled_from([1e-320, 1e-310, 1e-300]))
+    cfg = SimConfig(initial_stock=stock, settings=control, dt=dt, horizon=steps * dt,
+                    control_interval=per_control * dt, record_stride=stride)
+    return (stock,), params, rec, bounds, cfg
+
+
+@st.composite
+def lockstep_groups(draw):
+    dt = draw(st.sampled_from([0.01, 0.025]))
+    per_control = draw(st.integers(1, 10))
+    steps = draw(st.integers(per_control, 120))
+    stride = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 6))
+    return [draw(lockstep_cells(dt, per_control, steps, stride)) for _ in range(size)]
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(cells=lockstep_groups())
+def test_lockstep_matches_simulate_bit_for_bit(cells):
+    # groups far below the crossover, which sweep runs one by one, taken
+    # through the lockstep path all the same
+    assert [_bits(cell) for cell in engine._lockstep(cells)] == _scalar(cells)
+
+
+def _special_cells():
+    """Cells on one time grid (dt 0.01, 300 steps, stride 3) where the
+    lockstep path has to follow the scalar code through its corners."""
+    canonical = EconParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
+    unmanaged = EconParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 2.0)
+    rec, bounds = Recruitment(1.0, 2.0), ViabilityBounds(1.0, 0.4)
+
+    def cell(name, params, stock, strategy, **kwargs):
+        cfg = SimConfig(initial_stock=stock, settings=settings(strategy, **kwargs), dt=0.01,
+                        horizon=3.0, control_interval=0.1, record_stride=3)
+        return (name,), params, rec, bounds, cfg
+
+    cells = [
+        # crisis.ini: a moratorium at t = 0 that lifts and closes again
+        cell("crisis", canonical, 0.6, Strategy.QUALITATIVE,
+             initial_maturity=Maturity.MATURE, initial_trend=-1),
+        cell("crisis-late", canonical, 0.9, Strategy.QUALITATIVE,
+             initial_maturity=Maturity.MATURE, initial_trend=-1, moratorium_exit_intervals=2),
+        # extinction: the conservative floor recommendation at x = 0 raises
+        cell("extinct", EconParams(0.01, 0.01, 1.0, 1.0, 1.0, 1.0, 1000.0), 1.2,
+             Strategy.CONSERVATIVE),
+        # the deviation weight times the stock underflows to 0
+        cell("underflow", EconParams(1.0, 1.0, 1.0, 1.0, 0.1, 0.1, 2.0), 5e-324,
+             Strategy.CONSERVATIVE),
+        # library path: no threshold curves without deviation costs
+        cell("unmanaged-conservative", unmanaged, 1.2, Strategy.CONSERVATIVE),
+        cell("unmanaged-ichthyocentric", unmanaged, 1.2, Strategy.ICHTHYOCENTRIC),
+        cell("unmanaged-qualitative", unmanaged, 1.2, Strategy.QUALITATIVE, initial_trend=1),
+    ]
+    for strategy in Strategy:
+        for stock in (1e-320, 1e-310, 1e-300):
+            cells.append(cell(f"{strategy.value}-{stock}", canonical, stock, strategy))
+    return cells
+
+
+def test_lockstep_matches_simulate_on_special_cells():
+    cells = _special_cells()
+    expected = _scalar(cells)
+    errors = {bits[0][0]: bits[5] for bits in expected if bits[5] is not None}
+    assert errors == {
+        "extinct": "ValueError: stock must be positive",
+        "underflow": "ZeroDivisionError: float division by zero",
+        "unmanaged-conservative": "ValueError: threshold curves undefined without deviation costs",
+    }
+    record = simulate(*cells[0][1:])
+    assert {e.kind for e in record.events} >= {EVENT_MORATORIUM_START, EVENT_MORATORIUM_END}
+    assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
+
+
+def test_run_group_on_both_sides_of_the_crossover(monkeypatch):
+    special = _special_cells()
+    ordinary = [cell for cell in special if cell[0][0] in ("crisis", "crisis-late")]
+    lockstep_calls = []
+    real = engine._lockstep
+    monkeypatch.setattr(engine, "_lockstep", lambda cells: lockstep_calls.append(len(cells)) or real(cells))
+    small = special[:engine._LOCKSTEP_MIN_CELLS - 1]
+    large = (special * (engine._LOCKSTEP_MIN_CELLS // len(special) + 1))[:engine._LOCKSTEP_MIN_CELLS]
+    for cells in (small, large, ordinary):
+        assert [_bits(cell) for cell in engine._run_group(cells)] == _scalar(cells)
+    assert lockstep_calls == [len(large)]

@@ -406,6 +406,27 @@ class TestSweepCommand:
         assert sha256_of(tmp_path / "sweep.csv") == EXTINCTION_CORNER_DIGEST
         assert (tmp_path / "sweep.csv").read_text().count("error: ValueError") == 16
 
+    def test_error_messages_beside_the_csv(self, canonical_scenario_path, tmp_path):
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", EXTINCTION_CORNER_AXES]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        errors = json.loads((tmp_path / "sweep_errors.json").read_text())
+        assert len(errors) == 16
+        for entry in errors:
+            assert entry["error"] == "ValueError: stock must be positive"
+            row = rows[1 + entry["cell"]].split(",")
+            assert list(entry["axes"]) == rows[0].split(",")[:4]
+            assert list(entry["axes"].values()) == row[:4]
+            assert row[4] == "error: ValueError"
+        assert main(["sweep", "--config", canonical_scenario_path, "--out", str(tmp_path),
+                     "--axes", "econ.price=2.0|inf,simulation.horizon=1:1:1"]) == 0
+        assert json.loads((tmp_path / "sweep_errors.json").read_text()) == [
+            {"cell": 1, "axes": {"econ.price": "inf", "simulation.horizon": "1"},
+             "error": "ConfigError: [econ] price: must be finite, got 'inf'"}]
+        assert main(["sweep", "--config", canonical_scenario_path, "--out", str(tmp_path),
+                     "--axes", "econ.price=2.0|2.5,simulation.horizon=1:1:1"]) == 0
+        assert (tmp_path / "sweep_errors.json").read_text() == "[]\n"
+
     def test_no_floating_point_warnings(self, canonical_scenario_path, tmp_path, capsys):
         # a warning turned into an exception would abort the sweep or turn a
         # cell into an error row, which the digest would show
