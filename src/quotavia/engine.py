@@ -390,36 +390,38 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     if not live:
         return results
 
-    def column(read) -> np.ndarray:
-        return np.array([read(*cells[i][1:]) for i in live], dtype=float)
+    _, econs, recs, floors, cfgs = zip(*(cells[i] for i in live))
 
-    def floor_terms(p: EconParams, rec, bounds, cfg) -> tuple[float, float, float, float]:
+    def column(values) -> np.ndarray:
+        return np.fromiter(values, dtype=float, count=len(live))
+
+    def floor_terms(p: EconParams, strategy) -> tuple[float, float, float, float]:
         # the terms of viability._binding_recommendation that x leaves alone
         b1, b2 = p.beta_1, p.beta_2
         w = b1 * p.kappa_2 + b2 * p.kappa_1
-        offset = 0.5 * (b1 + b2) * p.price / w if cfg.settings.strategy is CONSERVATIVE else 0.0
+        offset = 0.5 * (b1 + b2) * p.price / w if strategy is CONSERVATIVE else 0.0
         return w, b1 * b2, 0.5 * (p.alpha_1 * b2 + p.alpha_2 * b1), offset
 
-    params = SimpleNamespace(**{name: column(lambda p, *_: getattr(p, name)).reshape(-1, 1)
-                                for name in (f.name for f in fields(EconParams))})
-    growth = column(lambda p, rec, *_: rec.growth)
-    capacity = column(lambda p, rec, *_: rec.capacity)
-    deadband = column(lambda p, rec, *_: 1e-6 * rec.capacity)
-    harvest_floor = column(lambda p, rec, bounds, cfg: bounds.harvest_floor)
-    stock_line = column(lambda p, rec, bounds, cfg: bounds.stock_floor - _VIABILITY_TOL)
-    harvest_line = column(lambda p, rec, bounds, cfg: bounds.harvest_floor - _VIABILITY_TOL)
-    x = column(lambda p, rec, bounds, cfg: cfg.initial_stock)
-    w, wb, wa, offset = np.array([floor_terms(*cells[i][1:]) for i in live], dtype=float).T
+    params = SimpleNamespace(**{f.name: column(getattr(p, f.name) for p in econs).reshape(-1, 1)
+                                for f in fields(EconParams)})
+    growth = column(r.growth for r in recs)
+    capacity = column(r.capacity for r in recs)
+    deadband = column(1e-6 * r.capacity for r in recs)
+    harvest_floor = column(b.harvest_floor for b in floors)
+    stock_line = column(b.stock_floor - _VIABILITY_TOL for b in floors)
+    harvest_line = column(b.harvest_floor - _VIABILITY_TOL for b in floors)
+    x = column(c.initial_stock for c in cfgs)
     strategy = [state.settings.strategy for state in states]
+    w, wb, wa, offset = np.array([floor_terms(p, s) for p, s in zip(econs, strategy)], dtype=float).T
     ichthyocentric, conservative, qualitative = (
         np.array([s is member for s in strategy])
         for member in (ICHTHYOCENTRIC, CONSERVATIVE, QUALITATIVE))
     controllers = ControllerArrays.stack(states)
-    rec, moratorium = controllers.recommendation, controllers.moratorium
+    r, moratorium = controllers.recommendation, controllers.moratorium
     trend = np.array(trends)
     dead = np.zeros(len(live), dtype=bool)   # cells whose decision raised
 
-    cfg = cells[live[0]][4]
+    cfg = cfgs[0]
     dt = cfg.dt
     per_control = round(cfg.control_interval / dt)
     n_steps = round(cfg.horizon / dt)
@@ -434,27 +436,26 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
         # x is never negative, so ichthyocentric_recommend never raises
         if ichthyocentric.any():
             g = growth * x * (1.0 - x / capacity)
-            np.copyto(rec, np.where(0.0 > g, 0.0, g), where=ichthyocentric)
+            np.copyto(r, np.where(0.0 > g, 0.0, g), where=ichthyocentric)
         if conservative.any():
             wx = w * x
             floor = (harvest_floor * (wx + wb) + wa) / wx - offset
-            np.copyto(rec, np.where(0.0 > floor, 0.0, floor), where=conservative)
+            np.copyto(r, np.where(0.0 > floor, 0.0, floor), where=conservative)
             for j in np.flatnonzero(conservative & ~dead & ~((x > 0.0) & (wx != 0.0))):
-                values, p, _, bounds, _ = cells[live[j]]
                 try:
-                    rec[j] = conservative_recommend(p, bounds, float(x[j]))
+                    r[j] = conservative_recommend(econs[j], floors[j], float(x[j]))
                 except Exception as exc:  # recorded in-grid, sweep continues
-                    results[live[j]] = _failed(values, exc)
+                    results[live[j]] = _failed(cells[live[j]][0], exc)
                     dead[j] = True
         if qualitative.any():
-            h = harvest_curve(params, x, rec, pointwise=True)
+            h = harvest_curve(params, x, r, pointwise=True)
             h[moratorium] = 0.0
             qualitative_steps(controllers, qualitative,
-                              region_codes(trend, h, rec, harvest_floor))
+                              region_codes(trend, h, r, harvest_floor))
 
     def rhs(s: np.ndarray, idle: bool) -> np.ndarray:
         g = growth * s * (1.0 - s / capacity)
-        out = g - harvest_curve(params, s, rec, pointwise=True)
+        out = g - harvest_curve(params, s, r, pointwise=True)
         np.copyto(out, 0.0, where=s <= 0.0)
         if idle:
             np.copyto(out, np.where(s > 0.0, g, 0.0), where=moratorium)
@@ -467,7 +468,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
                 trend = np.where(x - prev_control_x <= -deadband, -1, 1)
                 prev_control_x = x
                 decide()
-            h = harvest_curve(params, x, rec, pointwise=True)
+            h = harvest_curve(params, x, r, pointwise=True)
             idle = moratorium.any()
             if idle:
                 h[moratorium] = 0.0

@@ -242,10 +242,9 @@ def _between(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def short_runs(draw):
-    """Random valid scenarios over wide ranges, one in seven unmanaged,
-    with stocks down to 1e-320 and horizons up to one time unit."""
+def _fishery(draw):
+    """Random valid economics, recruitment and floors over wide ranges, one
+    fishery in seven unmanaged."""
     alphas = [draw(_between(1e-3, 10.0)) for _ in range(2)]
     betas = [draw(_between(0.01, 10.0)) for _ in range(2)]
     kappas = ([0.0, 0.0] if draw(st.integers(0, 6)) == 0
@@ -254,6 +253,14 @@ def short_runs(draw):
     rec = Recruitment(draw(_between(0.005, 5.0)), draw(_between(0.5, 8.0)))
     stock_floor = rec.capacity * draw(_between(0.05, 0.9))
     bounds = ViabilityBounds(stock_floor, rec.rate(stock_floor) * draw(_between(0.05, 1.2)))
+    return params, rec, bounds
+
+
+@st.composite
+def short_runs(draw):
+    """Random valid scenarios over wide ranges, one in seven unmanaged,
+    with stocks down to 1e-320 and horizons up to one time unit."""
+    params, rec, bounds = _fishery(draw)
     strategy = draw(st.sampled_from([Strategy.ICHTHYOCENTRIC, Strategy.QUALITATIVE]))
     control = StrategySettings(
         strategy,
@@ -475,14 +482,7 @@ def lockstep_cells(draw, dt, per_control, steps, stride):
     """One random cell on the given time grid: all three strategies, one
     fishery in seven unmanaged (a conservative one then raises), stocks
     down to 1e-320."""
-    alphas = [draw(_between(1e-3, 10.0)) for _ in range(2)]
-    betas = [draw(_between(0.01, 10.0)) for _ in range(2)]
-    kappas = ([0.0, 0.0] if draw(st.integers(0, 6)) == 0
-              else [draw(_between(0.01, 10.0)) for _ in range(2)])
-    params = EconParams(*alphas, *betas, *kappas, draw(_between(0.1, 3000.0)))
-    rec = Recruitment(draw(_between(0.005, 5.0)), draw(_between(0.5, 8.0)))
-    stock_floor = rec.capacity * draw(_between(0.05, 0.9))
-    bounds = ViabilityBounds(stock_floor, rec.rate(stock_floor) * draw(_between(0.05, 1.2)))
+    params, rec, bounds = _fishery(draw)
     control = StrategySettings(
         draw(st.sampled_from(list(Strategy))),
         rate=draw(_between(0.01, 0.5)),
