@@ -8,7 +8,9 @@ the stock itself that is recorded for the step's sample.  Violations of the
 viability floors, region crossings, moratorium transitions and extinction
 are recorded as time-stamped events.  A step that takes the stock to or
 below 0 sets it to exactly 0 and logs one extinction event; the stock then
-stays at 0, where the negotiation lands no catch.
+stays at 0, where the negotiation lands no catch.  ``sweep`` advances the
+cells that share a time grid together, as arrays, with ``simulate``'s
+operations in its order, so each cell's summary is its own run's.
 """
 
 from __future__ import annotations
