@@ -1,14 +1,32 @@
 """Scenario loading, canonical serialization, and the CLI surface."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
+import tempfile
 import warnings
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
-from quotavia import ConfigError, ScenarioConfig, Strategy
-from quotavia.cli import main
+from quotavia import (
+    ConfigError,
+    Regime,
+    Region,
+    ScenarioConfig,
+    Strategy,
+    classify_region,
+    recommendation_ceiling,
+    recommendation_floor,
+    total_harvest,
+    unmanaged_harvest,
+)
+from quotavia.cli import _PHASE_ROW, _parse_grid, main
+from quotavia.viability import _SIGN_TOL
 
 EXPECTED_HEADER = "t,x,r,h,q1,q2,regime,region,maturity,viable_eco,viable_econ"
 
@@ -27,6 +45,13 @@ SIMULATE_DIGESTS = {
 PHASE_DIGESTS = {
     "phase_grid.csv": "319bde3092285fd8d8cc207d2df619cd6b36c25dcdbd1c27e3e95c8a089e1845",
     "phase_levels.json": "4df859c67ba27f4134a98b092ddb8ab1ef0fa0c377970482ebca48e3dddbb723",
+}
+# sha256 of phase_grid.csv on canonical.ini at the extremes of the stock
+# axis, where the curves overflow to inf and nan or the stock is near the
+# smallest normal float
+EXTREME_PHASE_DIGESTS = {
+    "1e300:1e308:0:1.5:4:4": "07c574b7b393a623646f30f9d488294c66cf087127280b40de6e1c22f145c7c1",
+    "1e-305:2e-305:0:1.5:50:50": "a6d192e1b971d41bf4fe83e6f03f538aa75bbb3e8b78498bff5b9a8d7d24b1b3",
 }
 # three strategies x 8 prices x 8 stocks, reaching the extinction corner
 EXTINCTION_CORNER_AXES = (
@@ -328,6 +353,114 @@ class TestPhaseCommand:
             cells = line.split(",")
             assert cells[3] == "shutdown_unprofitable"
             assert float(cells[2]) == 0.0
+
+    @pytest.mark.parametrize("grid", sorted(EXTREME_PHASE_DIGESTS))
+    def test_extreme_stocks_are_pinned_and_silent(self, canonical_scenario_path, tmp_path,
+                                                  capsys, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["phase", "--config", canonical_scenario_path,
+                         "--out", str(tmp_path), "--grid", grid]) == 0
+        assert capsys.readouterr().err == ""
+        assert sha256_of(tmp_path / "phase_grid.csv") == EXTREME_PHASE_DIGESTS[grid]
+
+
+def _phase_lines(cfg: ScenarioConfig, grid: str) -> list[str]:
+    """The rows ``phase`` writes for ``cfg`` on ``grid``, header dropped."""
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "case.ini")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(cfg.to_text())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["phase", "--config", path, "--out", out, "--grid", grid]) == 0
+        with open(os.path.join(out, "phase_grid.csv"), encoding="utf-8") as handle:
+            return handle.readlines()[1:]
+
+
+def _scalar_phase_lines(cfg: ScenarioConfig, grid: str):
+    """The rows of ``grid`` from one scalar solve per point, and the
+    (regime, region, sign) tags they reach."""
+    params, rec, bounds = cfg.econ, cfg.recruitment, cfg.bounds
+    xs, rs = _parse_grid(grid)
+    lines, tags = [], set()
+    for x in xs:
+        rate = rec.rate(x)
+        curves = (unmanaged_harvest(params, x), recommendation_ceiling(params, rec, x),
+                  recommendation_floor(params, bounds, x))
+        for r in rs:
+            out = total_harvest(params, x, r)
+            gap = rate - out.h
+            sign = 0 if abs(gap) <= _SIGN_TOL else (1 if gap > 0.0 else -1)
+            region = classify_region(sign, out.h, r, bounds)
+            lines.append(_PHASE_ROW % (x, r, out.h, out.regime.value, sign, *curves,
+                                       region.value))
+            tags.add((out.regime, region, sign))
+    return lines, tags
+
+
+# (econ, recruitment and bounds overrides of canonical.ini, grid): together
+# they reach every regime, region and trend sign
+PHASE_CASES = [
+    ({}, "0.1:2:0:1.5:20:20"),
+    ({}, "1.0:1.0:0.25:0.25:1:1"),                  # stationary: sign 0
+    ({}, "1e-305:2e-305:0:1.5:5:5"),
+    ({}, "1e300:1e308:0:1.5:4:4"),
+    ({"econ.alpha_1": 0.5, "econ.alpha_2": 3.0, "econ.beta_2": 0.4,
+      "econ.kappa_1": 2.0, "econ.kappa_2": 0.3, "econ.price": 1.5},
+     "0.1:8:0:3:30:30"),                            # single groups, R4
+    ({"econ.kappa_1": 1e6, "econ.kappa_2": 1e6, "econ.price": 1.0},
+     f"{1 + 4e-12!r}:{1 + 4e-12!r}:0:0:1:1"),       # restricted shutdown
+]
+
+
+def test_phase_cases_reach_every_tag(canonical_scenario_path):
+    canonical = ScenarioConfig.from_file(canonical_scenario_path)
+    seen = set()
+    for overrides, grid in PHASE_CASES:
+        cfg = canonical.with_overrides(overrides)
+        lines, tags = _scalar_phase_lines(cfg, grid)
+        assert _phase_lines(cfg, grid) == lines, grid
+        seen |= tags
+    assert {regime for regime, _, _ in seen} == set(Regime)
+    assert {region for _, region, _ in seen} == set(Region)
+    assert {sign for _, _, sign in seen} == {-1, 0, 1}
+
+
+_unit = st.floats(min_value=0.1, max_value=10.0)
+_kappa = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=100.0))
+
+
+@st.composite
+def phase_cases(draw):
+    """Overrides and a grid: asymmetric costs, one kappa possibly 0, and
+    stock axes from near the smallest normal float up to 1e308."""
+    overrides = {f"econ.{name}": draw(_unit)
+                 for name in ("alpha_1", "alpha_2", "beta_1", "beta_2", "price")}
+    kappas = draw(_kappa), draw(_kappa)
+    hypothesis.assume(kappas != (0.0, 0.0))
+    overrides.update({"econ.kappa_1": kappas[0], "econ.kappa_2": kappas[1],
+                      "recruitment.growth": draw(_unit),
+                      "recruitment.capacity": draw(st.floats(min_value=0.5, max_value=20.0)),
+                      "bounds.harvest_floor": draw(st.floats(min_value=0.01, max_value=10.0))})
+    exponent = draw(st.one_of(st.integers(-2, 1), st.integers(-305, 307)))
+    x_min = draw(st.floats(min_value=1.0, max_value=9.9)) * 10.0 ** exponent
+    x_max = min(x_min * draw(st.floats(min_value=1.01, max_value=10.0)), 1.79e308)
+    r_min = draw(st.floats(min_value=0.0, max_value=5.0))
+    r_max = r_min + draw(st.floats(min_value=0.0, max_value=5.0))
+    nx, nr = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return overrides, f"{x_min!r}:{x_max!r}:{r_min!r}:{r_max!r}:{nx}:{nr}"
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(case=phase_cases())
+@hypothesis.example(case=PHASE_CASES[-1])
+def test_phase_rows_equal_scalar_solves(canonical_scenario_path, case):
+    overrides, grid = case
+    cfg = ScenarioConfig.from_file(canonical_scenario_path).with_overrides(overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lines = _phase_lines(cfg, grid)
+    assert lines == _scalar_phase_lines(cfg, grid)[0]
 
 
 class TestSweepCommand:
