@@ -16,13 +16,21 @@ import sys
 
 import numpy as np
 
+from . import viability
 from .control import Strategy
+from .econ import Regime
 from .engine import simulate, summarize, sweep
 from .scenario import ConfigError, ScenarioConfig
 from .verification import DEFAULT_SEED, run_all
-from .viability import check_viability_domain, critical_levels, phase_rows
+from .viability import Region, check_viability_domain, critical_levels, phase_blocks
 
 __all__ = ["main"]
+
+# Not called here: ``phase`` builds its grid with phase_blocks.  The
+# benchmark's tracer (perfbench/tracer.py) hooks quotavia.cli.phase_rows and
+# its tests require every hooked name to exist; drop this alias when that
+# hook moves to phase_blocks.
+phase_rows = viability.phase_rows
 
 _MAX_SWEEP_CELLS = 10 ** 6
 
@@ -154,20 +162,34 @@ def _parse_grid(spec: str):
     return [float(v) for v in xs], [float(v) for v in rs]
 
 
+def _phase_lines(blocks, rs: list[float]):
+    """The ``phase_grid.csv`` rows of ``phase_blocks``' blocks, the bytes of
+    ``_PHASE_ROW``.  Each stock's values and each recommendation are
+    formatted once; per point only the harvest is."""
+    r_text = ["%.17g," % r for r in rs]
+    tags = [f"{regime._value_},{sign}" for regime in Regime for sign in (-1, 0, 1)]
+    regions = [f"{region._value_}\n" for region in Region]
+    for block in blocks:
+        for x, unmanaged, ceiling, floor, hs, marks, codes in zip(
+                block.x, block.unmanaged, block.ceiling, block.floor, block.h.tolist(),
+                (3 * block.regime + block.sign + 1).tolist(), block.region.tolist()):
+            head = "%.17g," % x
+            tail = ",%.17g,%.17g,%.17g," % (unmanaged, ceiling, floor)
+            yield from [f"{head}{r}{h:.17g},{tags[mark]}{tail}{regions[code]}"
+                        for r, h, mark, code in zip(r_text, hs, marks, codes)]
+
+
 def _cmd_phase(args) -> int:
     cfg = _load(args.config)
     _require_deviation_costs(cfg, "phase")
     xs, rs = _parse_grid(args.grid)
     os.makedirs(args.out, exist_ok=True)
-    rows = (_PHASE_ROW % (x, r, h, regime._value_, sign, unmanaged, ceiling, floor,
-                          region._value_)
-            for x, r, h, regime, sign, unmanaged, ceiling, floor, region
-            in phase_rows(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
+    blocks = phase_blocks(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs)
     _write_csv(os.path.join(args.out, "phase_grid.csv"),
                ["x", "r", "h", "regime", "sign_growth_minus_harvest",
                 "unmanaged_harvest", "recommendation_ceiling",
                 "recommendation_floor", "region"],
-               rows)
+               _phase_lines(blocks, rs))
     levels = critical_levels(cfg.econ, cfg.recruitment, cfg.bounds)
     payload = {
         "a": levels.a,

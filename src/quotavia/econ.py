@@ -8,7 +8,8 @@ closed-form evaluation of that game's unique Nash equilibrium under
 non-negative quotas, plus the elementary ingredients (recruitment, profit)
 it is built from.  The equilibrium has one scalar solve (``_nash_point``,
 used in the simulation loop) and one array form of it (``harvest_curve``,
-used on large grids).
+used on large grids), with the regime tags of an array of points beside it
+(``regime_codes``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "total_harvest",
     "harvest_level",
     "harvest_curve",
+    "regime_codes",
     "profit",
 ]
 
@@ -298,6 +300,27 @@ def _block_rows(value, rows: slice):
     return value
 
 
+def _free_catch(params: EconParams, X: np.ndarray):
+    """Each group's gain and free optimum at the stocks ``X``, and the free
+    catch, in the operation order of :func:`_nash_point`: a negative or NaN
+    optimum adds 0, so the free catch is never NaN."""
+    px = params.price * X
+    gain1 = px - params.alpha_1
+    gain2 = px - params.alpha_2
+    opt1 = gain1 / (2.0 * params.beta_1)
+    opt2 = gain2 / (2.0 * params.beta_2)
+    free = np.where(opt1 > 0.0, opt1, 0.0) + np.where(opt2 > 0.0, opt2, 0.0)
+    return gain1, gain2, opt1, opt2, free
+
+
+def _axes(x_values, r_values, pointwise: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Stocks as a column and recommendations as a row of a grid, or both
+    as columns when they are paired point by point."""
+    X = np.asarray(x_values, dtype=float).reshape(-1, 1)
+    R = np.asarray(r_values, dtype=float).reshape((-1, 1) if pointwise else (1, -1))
+    return X, R
+
+
 def harvest_curve(params: EconParams, x_values, r_values, *,
                   pointwise: bool = False) -> np.ndarray:
     """Negotiated total harvest: the array form of :func:`_nash_point`.
@@ -322,18 +345,11 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
     branches are built only for a block that has a point in neither of
     those two.
     """
-    X = np.asarray(x_values, dtype=float).reshape(-1, 1)
-    R = np.asarray(r_values, dtype=float).reshape((-1, 1) if pointwise else (1, -1))
-    p = params.price
+    X, R = _axes(x_values, r_values, pointwise)
     b1, b2 = params.beta_1, params.beta_2
     k1, k2 = params.kappa_1, params.kappa_2
-    px = p * X
-    gain1 = px - params.alpha_1
-    gain2 = px - params.alpha_2
-    opt1 = gain1 / (2.0 * b1)
-    opt2 = gain2 / (2.0 * b2)
-    # as in _nash_point: a negative or NaN optimum adds 0; a free catch <= BOUNDARY_TOL lands 0
-    free = np.where(opt1 > 0.0, opt1, 0.0) + np.where(opt2 > 0.0, opt2, 0.0)
+    gain1, gain2, opt1, opt2, free = _free_catch(params, X)
+    # as in _nash_point, a free catch <= BOUNDARY_TOL lands 0
     landed = np.where(free > BOUNDARY_TOL, free, 0.0)
     w = b1 * k2 + b2 * k1
     # without deviation costs every point is non-deviating; free is never
@@ -410,6 +426,30 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
             np.logical_and(solo, q > 0.0, out=solo)  # else the 0.0 written above
             np.copyto(hb, q, where=solo)
     return out.reshape(-1) if pointwise else out
+
+
+def regime_codes(params: EconParams, x_values, r_values, h, *,
+                 pointwise: bool = False) -> np.ndarray:
+    """Regime tag of each point of :func:`harvest_curve`, as its index in
+    ``Regime`` (0 for ``BINDING`` up to 3 for ``SHUTDOWN_RESTRICTED``).
+
+    Takes the same axes and call shape as :func:`harvest_curve`, and ``h``,
+    its result on them, and tags each point as :func:`_nash_point` does: a
+    non-deviating point is ``NON_BINDING`` if its free catch lands above
+    ``BOUNDARY_TOL``, else ``SHUTDOWN_UNPROFITABLE``; any other point is
+    ``BINDING`` if ``h`` is above ``BOUNDARY_TOL``, else
+    ``SHUTDOWN_RESTRICTED`` if its free catch is, else
+    ``SHUTDOWN_UNPROFITABLE``.
+    """
+    X, R = _axes(x_values, r_values, pointwise)
+    free = _free_catch(params, X)[-1]
+    profitable = free > BOUNDARY_TOL
+    w = params.beta_1 * params.kappa_2 + params.beta_2 * params.kappa_1
+    nondev = (w == 0.0) | (free <= R + BOUNDARY_TOL)
+    shut = np.where(profitable, 3, 2)       # restricted, unprofitable
+    codes = np.where(np.asarray(h).reshape(nondev.shape) > BOUNDARY_TOL, 0, shut)
+    codes = np.where(nondev, np.where(profitable, 1, 2), codes)
+    return codes.reshape(-1) if pointwise else codes
 
 
 def profit(params: EconParams, group: int, q_own: float, q_other: float,

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .econ import (
     EconParams,
     Recruitment,
+    Regime,
+    _require_recommendation,
     _require_stock,
+    harvest_curve,
+    regime_codes,
     total_harvest,
     unmanaged_harvest,
 )
@@ -37,10 +42,17 @@ __all__ = [
     "region_codes",
     "recruitment_meets_floor_flags",
     "catch_within_recruitment_flags",
+    "PhaseBlock",
+    "phase_blocks",
     "phase_rows",
 ]
 
 _SIGN_TOL = 1e-12
+
+# Grid points per block of phase_blocks.  A block's arrays, their lists and
+# one row's formatted lines then take about 1 MB; blocks four times as large
+# took more memory and no less time, which formatting the rows dominates.
+_PHASE_BLOCK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -308,25 +320,74 @@ def catch_within_recruitment_flags(params: EconParams, rec: Recruitment,
     return left, right
 
 
+class PhaseBlock(NamedTuple):
+    """Phase-grid rows of consecutive stocks over the whole recommendation
+    axis.  Per stock, as lists of floats: the stock ``x``, the unmanaged
+    harvest, the stabilizing ceiling and the floor recommendation.  Per
+    point, as arrays with one row per stock: the harvest ``h``, the
+    ``regime`` (index in ``Regime``), the ``sign`` of recruitment minus
+    harvest and the ``region`` (index in ``Region``)."""
+
+    x: list[float]
+    unmanaged: list[float]
+    ceiling: list[float]
+    floor: list[float]
+    h: np.ndarray
+    regime: np.ndarray
+    sign: np.ndarray
+    region: np.ndarray
+
+
+def phase_blocks(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
+                 xs, rs):
+    """Yield the phase grid over the stocks ``xs`` and recommendations ``rs``
+    in :class:`PhaseBlock` values, a few stocks at a time.
+
+    A block holds about ``_PHASE_BLOCK_POINTS`` points, and at least one
+    stock's row, so memory stays bounded by the larger of the two.  The
+    per-stock values come from the scalar functions, with their input
+    checks: a non-positive stock, a negative recommendation or a fishery
+    without deviation costs raises ``ValueError``.  The harvest and its
+    regime come from the array kernel and :func:`econ.regime_codes`, and so
+    equal the scalar solve's; the sign is 0 when recruitment and harvest
+    balance within tolerance, and the region is :func:`classify_region`'s.
+    Overflow at extreme stocks gives inf or NaN, as in the scalar
+    functions, without a warning.
+    """
+    X = np.asarray(xs, dtype=float)
+    R = np.asarray(rs, dtype=float)
+    _require_recommendation(R.min(initial=0.0))     # a NaN among rs is the min
+    rows = max(1, _PHASE_BLOCK_POINTS // max(R.size, 1))
+    for lo in range(0, X.size, rows):
+        x = X[lo:lo + rows].tolist()
+        unmanaged = [unmanaged_harvest(params, v) for v in x]
+        ceiling = [recommendation_ceiling(params, rec, v) for v in x]
+        floor = [recommendation_floor(params, bounds, v) for v in x]
+        rate = np.array([rec.rate(v) for v in x]).reshape(-1, 1)
+        with np.errstate(all="ignore"):
+            h = harvest_curve(params, x, R)
+            gap = rate - h
+            sign = np.where(np.abs(gap) <= _SIGN_TOL, 0, np.where(gap > 0.0, 1, -1))
+            block = PhaseBlock(x, unmanaged, ceiling, floor, h,
+                               regime_codes(params, x, R, h), sign,
+                               region_codes(sign, h, R, bounds.harvest_floor))
+        yield block
+
+
 def phase_rows(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                xs, rs):
     """Yield plot-ready grid rows over stock/recommendation rectangles.
 
     Row: (x, r, h, regime, sign(recruitment - h), unmanaged harvest,
-    stabilizing ceiling, floor recommendation, candidate region).  The sign
-    is 0 when recruitment and harvest balance within tolerance.
+    stabilizing ceiling, floor recommendation, candidate region), one per
+    point of :func:`phase_blocks`, stock by stock.
     """
-    for x in xs:
-        rate = rec.rate(x)
-        unmanaged = unmanaged_harvest(params, x)
-        ceiling = recommendation_ceiling(params, rec, x)
-        floor = recommendation_floor(params, bounds, x)
-        for r in rs:
-            out = total_harvest(params, x, r)
-            gap = rate - out.h
-            if abs(gap) <= _SIGN_TOL:
-                sign = 0
-            else:
-                sign = 1 if gap > 0.0 else -1
-            region = classify_region(sign, out.h, r, bounds)
-            yield (x, r, out.h, out.regime, sign, unmanaged, ceiling, floor, region)
+    regimes, regions = tuple(Regime), tuple(Region)
+    rs = np.asarray(rs, dtype=float).tolist()
+    for block in phase_blocks(params, rec, bounds, xs, rs):
+        for x, unmanaged, ceiling, floor, hs, tags, signs, codes in zip(
+                block.x, block.unmanaged, block.ceiling, block.floor, block.h.tolist(),
+                block.regime.tolist(), block.sign.tolist(), block.region.tolist()):
+            for r, h, tag, sign, code in zip(rs, hs, tags, signs, codes):
+                yield (x, r, h, regimes[tag], sign, unmanaged, ceiling, floor,
+                       regions[code])

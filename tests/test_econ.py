@@ -19,7 +19,13 @@ from quotavia import (
     total_harvest,
     unmanaged_harvest,
 )
-from quotavia.econ import BOUNDARY_TOL, _nash_point, harvest_curve, harvest_level
+from quotavia.econ import (
+    BOUNDARY_TOL,
+    _nash_point,
+    harvest_curve,
+    harvest_level,
+    regime_codes,
+)
 
 
 def test_econ_params_validation():
@@ -231,6 +237,26 @@ def test_nash_point_outputs_are_pinned():
     assert seen == {*Regime, "group 1 alone", "group 2 alone"}
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == "e287f2977974c8fe3c868e23ced35e1e00e87f13e6b38db7f83bf5d93de59825"
+
+
+def test_regime_codes_match_nash_point_on_pinned_draw():
+    # each point its own fishery, as parameter columns; one in ten unmanaged,
+    # where every point is non-deviating
+    points = _nash_grid()
+    fields = ("alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price")
+    params = type("Columns", (), {
+        name: np.array([getattr(p, name) for p, _, _ in points]).reshape(-1, 1)
+        for name in fields})
+    xs = [x for _, x, _ in points]
+    rs = [r for _, _, r in points]
+    h = harvest_curve(params, xs, rs, pointwise=True)
+    codes = regime_codes(params, xs, rs, h, pointwise=True)
+    scalar = [_nash_point(p, x, r)[3] for p, x, r in points]
+    assert [list(Regime)[code] for code in codes.tolist()] == scalar
+    assert set(scalar) == set(Regime)
+    assert {regime for (p, _, _), regime in zip(points, scalar)
+            if p.unmanaged} == {Regime.NON_BINDING, Regime.SHUTDOWN_UNPROFITABLE}
+
 
 class TestIndividualQuotas:
     def test_symmetric_binding(self, symmetric_params):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from quotavia import EconParams, Recruitment, ViabilityBounds
-from quotavia.econ import BOUNDARY_TOL, _nash_point, harvest_curve, unmanaged_harvest
+from quotavia.econ import (
+    BOUNDARY_TOL,
+    Regime,
+    _nash_point,
+    harvest_curve,
+    regime_codes,
+    unmanaged_harvest,
+)
 from quotavia.verification import (
     monotonicity_suite,
     nash_agreement_suite,
@@ -19,6 +26,14 @@ from quotavia.verification import (
 
 def _scalar_grid(params, xs, rs):
     return np.array([[_nash_point(params, float(x), float(r))[2] for r in rs] for x in xs])
+
+
+def _assert_regimes_match(params, xs, rs, grid):
+    """``regime_codes`` on ``harvest_curve``'s grid tags every point as the
+    scalar solve does."""
+    scalar = [[list(Regime).index(_nash_point(params, float(x), float(r))[3]) for r in rs]
+              for x in xs]
+    assert regime_codes(params, xs, rs, grid).tolist() == scalar
 
 
 def _free_catch(params, x):
@@ -57,6 +72,7 @@ def test_harvest_curve_matches_scalar_solve():
         rs[0] = max(_free_catch(params, float(xs[1])) - BOUNDARY_TOL, 0.0)
         grid = harvest_curve(params, xs, rs)
         assert grid.tobytes() == _scalar_grid(params, xs, rs).tobytes()
+        _assert_regimes_match(params, xs, rs, grid)
         seen.update(_branch(params, float(x), float(r)) for x in xs for r in rs)
     assert seen == {"non-deviating", "interior", "solo-1", "solo-2", "zero"}
     # where the scalar solve's ``> 0.0`` tests give 0.0: a NaN recommendation
@@ -68,6 +84,7 @@ def test_harvest_curve_matches_scalar_solve():
                          (EconParams(1, 1, 1, 1, 0, 0, 1), 1.0 + 1e-13, 0.5)):
         grid = harvest_curve(params, [x], [r])
         assert grid.tobytes() == _scalar_grid(params, [x], [r]).tobytes()
+        _assert_regimes_match(params, [x], [r], grid)
     # overflowing and vanishing stocks: at x = 1e308 the interior quotas
     # are NaN (inf - inf), where the scalar solve lets group 1 fish alone
     # (about 3.6, 4.1, 4.6 and 8.6 here, not 0.0)
@@ -76,6 +93,7 @@ def test_harvest_curve_matches_scalar_solve():
     with np.errstate(all="ignore"):
         grid = harvest_curve(params, [1e308], rs)
         assert grid.tobytes() == _scalar_grid(params, [1e308], rs).tobytes()
+        _assert_regimes_match(params, [1e308], rs, grid)
         assert grid.min() > 3.5
         xs = [1e308, 1.7e308, 1e300, 1e-300, 5e-324]
         for _ in range(20):
@@ -83,6 +101,7 @@ def test_harvest_curve_matches_scalar_solve():
             rs = np.concatenate(([0.0, 1e-300, 1e300], rng.uniform(0.0, 6.0, 3)))
             grid = harvest_curve(params, xs, rs)
             assert grid.tobytes() == _scalar_grid(params, xs, rs).tobytes()
+            _assert_regimes_match(params, xs, rs, grid)
 
 
 @pytest.mark.parametrize("points", [1, 192, (1 << 14) + 5])   # one row block, and two
@@ -122,6 +141,7 @@ def test_harvest_curve_grid_shapes(rows, cols, kappas):
     grid = harvest_curve(params, xs, rs)
     assert grid.shape == (rows, cols)
     assert grid.tobytes() == _scalar_grid(params, xs, rs).tobytes()
+    _assert_regimes_match(params, xs, rs, grid)
 
 
 def test_harvest_curve_bytes_are_pinned():

@@ -24,7 +24,7 @@ from quotavia import (
     unmanaged_harvest,
 )
 from quotavia.econ import binding_harvest
-from quotavia.viability import phase_rows
+from quotavia.viability import phase_blocks, phase_rows
 
 
 def test_bounds_validation():
@@ -250,3 +250,18 @@ def test_phase_rows_unprofitable_zone(symmetric_params, logistic, floors):
     for row in rows:
         assert row[2] == 0.0
         assert row[3].value == "shutdown_unprofitable"
+
+
+@pytest.mark.parametrize("xs, rs, kappas", [
+    ([1.0, 0.0], [0.5], (1.0, 1.0)),
+    ([1.0, float("nan")], [0.5], (1.0, 1.0)),
+    ([1.0], [0.5, -0.1], (1.0, 1.0)),
+    ([1.0], [float("nan"), 0.5], (1.0, 1.0)),
+    ([1.0], [0.5], (0.0, 0.0)),
+], ids=["zero stock", "nan stock", "negative r", "nan r", "unmanaged"])
+def test_phase_blocks_check_inputs(logistic, floors, xs, rs, kappas):
+    params = EconParams(1.0, 1.0, 1.0, 1.0, *kappas, 2.0)
+    with pytest.raises(ValueError):
+        list(phase_blocks(params, logistic, floors, xs, rs))
+    with pytest.raises(ValueError):
+        list(phase_rows(params, logistic, floors, xs, rs))
