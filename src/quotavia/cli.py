@@ -167,6 +167,7 @@ def _phase_lines(blocks, rs: list[float]):
     ``_PHASE_ROW``.  Each stock's values and each recommendation are
     formatted once; per point only the harvest is."""
     r_text = ["%.17g," % r for r in rs]
+    # a point's regime and sign as one index, 3 * regime + sign + 1
     tags = [f"{regime._value_},{sign}" for regime in Regime for sign in (-1, 0, 1)]
     regions = [f"{region._value_}\n" for region in Region]
     for block in blocks:
