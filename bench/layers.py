@@ -31,11 +31,19 @@ Measured, one process, one thread:
   non-deviating and single-group points (the grid whose output
   ``tests/test_verification.py`` pins);
 * ``simulate_ns_per_step_{canonical,crisis}``: ``engine.simulate`` on the
-  shipped scenario, per RK4 step (20,000 steps);
+  shipped scenario, per step of its time grid (20,000 steps; both runs
+  settle, and ``simulate`` reuses exactly repeated steps, so it computes
+  only 4,753 and 5,354 of them);
+* ``simulate_ns_per_step_unsettled``: ``engine.simulate`` on canonical.ini
+  at horizon 40, which ends before the run's first repeated step
+  (t = 47.51), so every step is computed and the reuse table's misses
+  are in the time (4,000 steps);
 * ``rk4_ns_per_step``: the ``engine._rk4`` calls of one crisis
   ``simulate``, captured and replayed, per call (one RK4 step: stages 2-4,
   each a Nash solve unless the stock only regrows; the replayed stages
-  solve at the run's final recommendation, which their closures read);
+  solve at the run's final recommendation, which their closures read).
+  Only computed steps call ``_rk4``, so since ``simulate`` reuses repeated
+  steps this replays 5,354 calls, against 20,000 before;
 * ``decision_ns_per_call``: the ``engine.qualitative_step`` calls of that
   run, captured and replayed, per call (one controller decision), each on a
   ``copy.copy`` of the state it was called with, copied before the timing;
@@ -86,6 +94,7 @@ import workloads  # noqa: E402
 PHASE_GRID = "0.1:2:0:1.5:200:200"
 SWEEP_SEED = 1
 NASH_GRID = 100
+UNSETTLED_HORIZON = 40.0
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -206,8 +215,9 @@ def measure(root: str, repeat: int) -> dict:
         phase_grid = "phase_blocks" if hasattr(cli, "phase_blocks") else "phase_rows"
         grid = list(getattr(cli, phase_grid)(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
 
-        def simulation(name: str, path: str):
-            params, rec, bounds, sim = ScenarioConfig.from_file(path).build()
+        def simulation(name: str, path: str, overrides: dict | None = None):
+            params, rec, bounds, sim = ScenarioConfig.from_file(path).with_overrides(
+                overrides or {}).build()
             return (f"simulate_ns_per_step_{name}", "ns", round(sim.horizon / sim.dt),
                     lambda: simulate(params, rec, bounds, sim))
 
@@ -235,6 +245,7 @@ def measure(root: str, repeat: int) -> dict:
              lambda: econ.harvest_curve(kernel_params, kernel_xs, kernel_rs)),
             simulation("canonical", canonical),
             simulation("crisis", crisis),
+            simulation("unsettled", canonical, {"simulation.horizon": UNSETTLED_HORIZON}),
             ("rk4_ns_per_step", "ns", len(calls["_rk4"]), rk4_steps),
             ("decision_ns_per_call", "ns", len(calls["qualitative_step"]), decisions),
             ("trajectory_ns_per_row", "ns", len(record.samples),

@@ -184,6 +184,11 @@ def _cmd_phase(args) -> int:
     cfg = _load(args.config)
     _require_deviation_costs(cfg, "phase")
     xs, rs = _parse_grid(args.grid)
+    econ = cfg.econ
+    # the threshold curves divide by the deviation weight times the stock
+    if (econ.beta_1 * econ.kappa_2 + econ.beta_2 * econ.kappa_1) * xs[0] == 0.0:
+        raise _UsageError(f"--grid: XMIN {xs[0]!r} times beta_1 * kappa_2 + beta_2 * kappa_1 "
+                          "underflows to 0")
     os.makedirs(args.out, exist_ok=True)
     blocks = phase_blocks(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs)
     _write_csv(os.path.join(args.out, "phase_grid.csv"),

@@ -8,9 +8,13 @@ the stock itself that is recorded for the step's sample.  Violations of the
 viability floors, region crossings, moratorium transitions and extinction
 are recorded as time-stamped events.  A step that takes the stock to or
 below 0 sets it to exactly 0 and logs one extinction event; the stock then
-stays at 0, where the negotiation lands no catch.  ``sweep`` advances the
-cells that share a time grid together, as arrays, with ``simulate``'s
-operations in its order, so each cell's summary is its own run's.
+stays at 0, where the negotiation lands no catch.  Within one run, a step
+that exactly repeats the stock, recommendation and moratorium flag of a
+kept earlier step reuses that step's negotiation and Runge-Kutta result,
+the same bits, so a settled run skips most of its solves.  ``sweep``
+advances the cells that share a time grid together, as arrays, with
+``simulate``'s operations in its order, so each cell's summary is its own
+run's.
 """
 
 from __future__ import annotations
@@ -79,6 +83,25 @@ _SWEEP_BATCH = 4096
 # Recorded harvests one lockstep run keeps, 16 MB of float64: a group whose
 # cells record S samples each runs _KEPT_HARVESTS // S cells at a time.
 _KEPT_HARVESTS = 1 << 21
+
+# Steps one simulate run keeps for reuse; its tables are emptied when they
+# hold this many.  The repeats seen are short: canonical.ini settles on a
+# fixed point and crisis.ini on a 20-step cycle, so a bound far above that
+# loses next to no repeat, and a run that never settles holds at most this
+# many steps.  A step takes about 180 bytes (the table slot, the 5-tuple and
+# the floats it alone keeps; measured with tracemalloc on a canonical.ini
+# run that records every 1,000th step), so the tables stay under 0.8 MB.
+_STEP_TABLE_SIZE = 4096
+
+# A run keeps every _KEEP_EVERY-th computed step, and the first computed
+# step after a reused one, since keeping a step costs more than looking one
+# up.  A fixed point is then kept within _KEEP_EVERY steps, and a cycle's
+# kept run grows by a step per pass.  On canonical.ini at horizon 40, which
+# never repeats, keeping every step made simulate 5-9% slower than with no
+# table, this rule 2-3% (the two timed in one process, alternated; 2-vCPU
+# VM, Python 3.11); the shipped scenarios compute 4,753 and 5,354 of their
+# 20,000 steps, against 4,752 and 5,297 when every step is kept.
+_KEEP_EVERY = 16
 
 # Deadband below which a floor comparison does not flip the viability flag;
 # keeps an exactly-on-the-floor trajectory from flickering events.
@@ -233,6 +256,15 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     observations; every dt the negotiation outcome is re-evaluated at the
     current stock and the stock is advanced.  Pathological states surface as
     events, never as exceptions.
+
+    A step is a pure function of the stock, the recommendation and the
+    moratorium flag, since the parameters, recruitment and dt are fixed.  A
+    step that repeats all three exactly, bit for bit, reuses the solves and
+    the RK4 stages of the step it repeats, so a run that settles on a fixed
+    point or a cycle computes few of its steps (4,753 of 20,000 on
+    canonical.ini).  The record is the same bits either way.  Only some
+    computed steps are kept for reuse (``_KEEP_EVERY``), and at most
+    ``_STEP_TABLE_SIZE`` at once.
     """
     dt = cfg.dt
     per_control = round(cfg.control_interval / dt)
@@ -262,8 +294,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     def closed_loop(s: float) -> float:
         if s <= 0.0:
             return 0.0
-        return (growth * s * (1.0 - s / capacity)
-                - _nash_point(params, s, state.recommendation)[2])
+        return growth * s * (1.0 - s / capacity) - _nash_point(params, s, r)[2]
 
     def regrowth(s: float) -> float:
         return growth * s * (1.0 - s / capacity) if s > 0.0 else 0.0
@@ -274,6 +305,25 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     prev_flags: tuple[bool, bool] | None = None
     stride = cfg.record_stride
 
+    # Computed steps kept for reuse, as (q1, q2, h, regime, RK4 stock before
+    # the extinction clamp).  The recommendation and the moratorium flag
+    # change only at a decision, so each (r, sign of r, flag) has its own
+    # table, chosen once per decision, and a step looks up its stock alone.
+    # The sign keeps r = -0.0 apart from +0.0, which compare equal.  The
+    # stock is never -0.0: it starts positive, the clamp sets exactly 0.0,
+    # and from 0.0 the RK4 sum is 0.0 + 0.0.  A NaN matches a key only as
+    # the same object (dicts test identity before equality), so the same
+    # bits.
+    tables: dict[tuple[float, float, bool], dict] = {}
+    stored = 0
+    after_reuse = False
+
+    def steps_for(r: float, moratorium: bool) -> dict:
+        return tables.setdefault((r, math.copysign(1.0, r), moratorium), {})
+
+    r, idle = state.recommendation, state.moratorium
+    steps = steps_for(r, idle)
+
     for k in range(n_steps + 1):
         t = k * dt
         decides = k > 0 and k % per_control == 0
@@ -282,11 +332,17 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
             trend = -1 if raw <= -deadband else 1
             prev_control_x = x
             control_update(t)
+            r, idle = state.recommendation, state.moratorium
+            steps = steps_for(r, idle)
 
-        r = state.recommendation
-        q1, q2, h, regime = _nash_point(params, x, r)
-        if state.moratorium:
-            q1 = q2 = h = 0.0
+        step = steps.get(x)
+        if step is None:
+            q1, q2, h, regime = _nash_point(params, x, r)
+            if idle:
+                q1 = q2 = h = 0.0
+        else:
+            q1, q2, h, regime, x_next = step
+            after_reuse = True
 
         if k == 0 or decides:
             new_region = classify_region(trend, h, r, bounds)
@@ -311,10 +367,19 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         if k == n_steps:
             break
 
-        if state.moratorium:
-            x_next = _rk4(regrowth, x, dt, regrowth(x))
-        else:
-            x_next = _rk4(closed_loop, x, dt, growth * x * (1.0 - x / capacity) - h)
+        if step is None:
+            if idle:
+                x_next = _rk4(regrowth, x, dt, regrowth(x))
+            else:
+                x_next = _rk4(closed_loop, x, dt, growth * x * (1.0 - x / capacity) - h)
+            if after_reuse or k % _KEEP_EVERY == 0:
+                if stored == _STEP_TABLE_SIZE:
+                    tables.clear()
+                    stored = 0
+                    steps = steps_for(r, idle)
+                steps[x] = q1, q2, h, regime, x_next
+                stored += 1
+                after_reuse = False
         # from x = 0 both right-hand sides give exactly 0, so the stock stays there
         if x_next <= 0.0 < x:
             events.append(Event((k + 1) * dt, EVENT_EXTINCTION))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import struct
 
 import hypothesis
@@ -303,17 +304,23 @@ def test_determinism(symmetric_params, logistic, floors):
 
 
 @pytest.mark.parametrize("scenario, overrides, solves", [
-    pytest.param("canonical", {}, 80_001, id="canonical-80001"),
-    pytest.param("crisis", {}, 81_852, id="crisis-81852"),
+    # both shipped runs settle, and an exact repeat of a kept step's stock,
+    # recommendation and moratorium flag reuses it without a solve:
+    # canonical.ini computes 4,753 of its 20,000 steps, crisis.ini 5,354
+    pytest.param("canonical", {}, 19_012, id="canonical-19012"),
+    pytest.param("crisis", {}, 23_267, id="crisis-23267"),
+    # canonical.ini first repeats a step at t = 47.51: before that, every
+    # step is computed, 4 solves each, plus the last sample's
+    pytest.param("canonical", {"simulation.horizon": 40.0}, 4 * 4_000 + 1, id="unsettled-16001"),
     # a subnormal stock takes the same single recorded solve per step
     pytest.param("canonical", {"strategy.name": "qualitative", "simulation.initial_stock": 1e-310,
                                "simulation.horizon": 1.0}, 411, id="subnormal-411"),
 ])
 def test_nash_solves_per_run(scenario, overrides, solves, request, monkeypatch):
-    # per step one recorded solve at the stock itself, which RK stage k1 and
-    # the region classification reuse, plus stages k2-k4 outside a moratorium
-    # at a positive stock; the qualitative controller adds one solve per
-    # decision
+    # per computed step one recorded solve at the stock itself, which RK
+    # stage k1 and the region classification reuse, plus stages k2-k4
+    # outside a moratorium at a positive stock; the last sample takes its
+    # solve alone; the qualitative controller adds one solve per decision
     cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
     cfg = cfg.with_overrides(overrides)
     calls = 0
@@ -327,6 +334,81 @@ def test_nash_solves_per_run(scenario, overrides, solves, request, monkeypatch):
     monkeypatch.setattr(engine, "_nash_point", counted)
     simulate(*cfg.build())
     assert calls == solves
+
+
+def _float_bits(value):
+    return struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("scenario", ["canonical", "crisis"])
+def test_every_step_replays_from_its_sample(scenario, request):
+    # each step recomputed from its recorded sample, with the moratorium
+    # rebuilt from the events, gives the recorded negotiation and the next
+    # sample's stock bit for bit, reused steps included
+    cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
+    params, rec, bounds, sim = cfg.build()
+    assert sim.record_stride == 1
+    record = simulate(params, rec, bounds, sim)
+    switches = {round(e.t / sim.dt): e.kind == EVENT_MORATORIUM_START for e in record.events
+                if e.kind in (EVENT_MORATORIUM_START, EVENT_MORATORIUM_END)}
+    moratorium, idle = False, 0
+    for k, sample in enumerate(record.samples):
+        moratorium = switches.get(k, moratorium)
+        idle += moratorium
+        x, r = sample.x, sample.r
+        q1, q2, h, regime = engine._nash_point(params, x, r)
+        if moratorium:
+            q1 = q2 = h = 0.0
+        assert ([_float_bits(v) for v in (sample.q_1, sample.q_2, sample.h)], sample.regime) \
+            == ([_float_bits(v) for v in (q1, q2, h)], regime), k
+        if k + 1 == len(record.samples):
+            break
+
+        def rhs(s):
+            if s <= 0.0:
+                return 0.0
+            return rec.rate(s) if moratorium else rec.rate(s) - engine._nash_point(params, s, r)[2]
+        x_next = engine._rk4(rhs, x, sim.dt, rhs(x))
+        if x_next <= 0.0 < x:
+            x_next = 0.0
+        assert _float_bits(record.samples[k + 1].x) == _float_bits(x_next), k
+    assert (idle > 0) == (scenario == "crisis")     # the moratorium branch replayed too
+
+
+@pytest.mark.parametrize("flip", ["zero-sign", "moratorium"])
+def test_reuse_tells_every_input_apart(flip, logistic, floors, monkeypatch):
+    # at one unchanging stock each decision flips the sign of r = 0.0, which
+    # compares equal to its negation, or the moratorium flag; a solve that
+    # tells the inputs apart must be seen to run on each
+    def solve(params, x, r):
+        return math.copysign(1.0, r), 0.0, 0.0, engine.Regime.SHUTDOWN_UNPROFITABLE
+
+    def decide(params, rec, bounds, state, x, trend):
+        if flip == "zero-sign":
+            state.recommendation = -state.recommendation
+        else:
+            state.moratorium = not state.moratorium
+
+    monkeypatch.setattr(engine, "_nash_point", solve)
+    monkeypatch.setattr(engine, "_decide", decide)
+    cfg = SimConfig(initial_stock=logistic.capacity, dt=0.01, horizon=1.0, control_interval=0.1,
+                    settings=settings(Strategy.QUALITATIVE, initial_recommendation=0.0))
+    samples = simulate(EconParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0), logistic, floors, cfg).samples
+    assert {s.x for s in samples} == {logistic.capacity}
+    flipped = -1.0 if flip == "zero-sign" else 0.0
+    assert [_float_bits(s.q_1) for s in samples] == [
+        _float_bits(flipped if (k // 10) % 2 else 1.0) for k in range(len(samples))]
+
+
+@pytest.mark.parametrize("scenario", ["canonical", "crisis"])
+def test_emptied_step_tables_keep_the_record(scenario, request, monkeypatch):
+    # a bound below crisis.ini's 20-step cycle empties the tables over and
+    # over; the record stays the same bits
+    cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
+    expected = simulate(*cfg.build())
+    monkeypatch.setattr(engine, "_STEP_TABLE_SIZE", 7)
+    record = simulate(*cfg.build())
+    assert record.samples == expected.samples and record.events == expected.events
 
 
 def test_record_stride_keeps_terminal_sample(symmetric_params, logistic, floors):
@@ -561,6 +643,30 @@ def test_lockstep_matches_simulate_on_special_cells():
     }
     record = simulate(*cells[0][1:])
     assert {e.kind for e in record.events} >= {EVENT_MORATORIUM_START, EVENT_MORATORIUM_END}
+    assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
+
+
+def test_lockstep_matches_simulate_on_settled_runs(canonical_scenario_path, crisis_scenario_path,
+                                                   monkeypatch):
+    # _lockstep computes every step, so it checks simulate on runs that
+    # settle on a fixed point or a cycle, where most steps are reused: the
+    # shipped scenarios at horizon 200, each with all three strategies
+    cells = []
+    for path in (canonical_scenario_path, crisis_scenario_path):
+        for strategy in Strategy:
+            cfg = ScenarioConfig.from_file(path).with_overrides({"strategy.name": strategy.value})
+            cells.append(((os.path.basename(path), strategy.value), *cfg.build()))
+    computed = 0
+    rk4 = engine._rk4
+
+    def counted(*args):
+        nonlocal computed
+        computed += 1
+        return rk4(*args)
+
+    monkeypatch.setattr(engine, "_rk4", counted)
+    expected = _scalar(cells)
+    assert computed < len(cells) * 20_000 // 4
     assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
 
 

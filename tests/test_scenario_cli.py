@@ -692,6 +692,21 @@ def test_non_finite_bounds_are_usage_errors(canonical_scenario_path, tmp_path, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("grid", ["1e-315:1e-314:0:1:2:2", "5e-324:1:0:1:3:1"])
+def test_phase_stock_whose_weighted_product_underflows_is_usage_error(canonical, tmp_path,
+                                                                      capsys, grid):
+    # the threshold curves divide by (beta_1 * kappa_2 + beta_2 * kappa_1) * x
+    path = tmp_path / "cheap.ini"
+    path.write_text(canonical.to_text().replace("kappa_1 = 1.0", "kappa_1 = 1e-10")
+                    .replace("kappa_2 = 1.0", "kappa_2 = 1e-10"))
+    out = tmp_path / "out"
+    assert main(["phase", "--config", str(path), "--out", str(out), "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid: XMIN ") and "underflows to 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["simulate", "--nonsense"]) == 1
     assert main(["phase", "--config", "x", "--grid", "1:2:3"]) == 1
