@@ -218,6 +218,8 @@ def _parse_axes(spec: str) -> list[tuple[str, list]]:
             raise _UsageError(f"--axes: expected FIELD=LO:HI:N or FIELD=a|b, got {chunk!r}")
         field, definition = chunk.split("=", 1)
         field = field.strip()
+        if any(field == name for name, _ in axes):  # its later values would override these
+            raise _UsageError(f"--axes {field}: field given twice")
         if "|" in definition:
             axes.append((field, [v.strip() for v in definition.split("|")]))
             continue
@@ -276,6 +278,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.instances is not None and args.instances < 1:
+        raise _UsageError("--instances: N must be at least 1")
     reports = run_all(seed=args.seed, instances=args.instances)
     for report in reports:
         print(report.line())

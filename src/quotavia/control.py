@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .econ import EconParams, Recruitment
 from .viability import (EMERGING, MATURE, R0, R1, R2, R3, R4, Maturity, Region,
                          ViabilityBounds, recommendation_floor)
@@ -22,11 +20,9 @@ __all__ = [
     "Strategy",
     "StrategySettings",
     "ControllerState",
-    "ControllerArrays",
     "ichthyocentric_recommend",
     "conservative_recommend",
     "qualitative_step",
-    "qualitative_steps",
 ]
 
 
@@ -132,58 +128,3 @@ def qualitative_step(state: ControllerState, region: Region) -> ControllerState:
         state.recommendation += max(state.settings.rate * state.recommendation, state.floor_step)
     return state
 
-
-@dataclass
-class ControllerArrays:
-    """The ``ControllerState`` of many cells, one array entry per cell: the
-    controllers of a lockstep ensemble (``engine.sweep``)."""
-
-    rate: np.ndarray
-    floor_step: np.ndarray
-    exit_intervals: np.ndarray
-    recommendation: np.ndarray
-    mature: np.ndarray
-    moratorium: np.ndarray
-    growth_streak: np.ndarray
-
-    @classmethod
-    def stack(cls, states: list[ControllerState]) -> "ControllerArrays":
-        def column(read, dtype):
-            return np.array([read(s) for s in states], dtype=dtype)
-        return cls(column(lambda s: s.settings.rate, float),
-                   column(lambda s: s.floor_step, float),
-                   column(lambda s: s.settings.moratorium_exit_intervals, np.int64),
-                   column(lambda s: s.recommendation, float),
-                   column(lambda s: s.maturity is MATURE, bool),
-                   column(lambda s: s.moratorium, bool),
-                   column(lambda s: s.growth_streak, np.int64))
-
-
-def qualitative_steps(states: ControllerArrays, deciding: np.ndarray,
-                      region: np.ndarray) -> None:
-    """:func:`qualitative_step` for every cell where ``deciding`` is set, as
-    masked updates; ``region`` holds each cell's ``Region`` index
-    (``viability.region_codes``).  Each branch of the rule table is a mask
-    of the cells that take it, and its update runs the scalar operations,
-    so every cell moves as its own ``qualitative_step`` would move it."""
-    rec, streak, moratorium = states.recommendation, states.growth_streak, states.moratorium
-    held = deciding & moratorium
-    free = deciding & ~moratorium
-    # in a moratorium: count the growing intervals, lift it after enough
-    np.copyto(streak, np.where((region == 1) | (region == 2), streak + 1, 0), where=held)
-    lifted = held & (streak >= states.exit_intervals)
-    moratorium[lifted] = False
-    streak[lifted] = 0
-    # R0 and R3 lower the recommendation
-    lower = free & ((region == 0) | (region == 3))
-    np.copyto(rec, rec / (1.0 + states.rate), where=lower)
-    # R4 closes a mature fishery
-    close = free & (region == 4) & states.mature
-    moratorium[close] = True
-    rec[close] = 0.0
-    streak[close] = 0
-    # every other region raises it, and R1 matures the fishery
-    grow = free & ~lower & ~close
-    states.mature[grow & (region == 1)] = True
-    step = states.rate * rec
-    np.copyto(rec, rec + np.where(states.floor_step > step, states.floor_step, step), where=grow)

@@ -12,9 +12,11 @@ stays at 0, where the negotiation lands no catch.  Within one run, a step
 that exactly repeats the stock, recommendation and moratorium flag of a
 kept earlier step reuses that step's negotiation and Runge-Kutta result,
 the same bits, so a settled run skips most of its solves.  ``sweep``
-advances the cells that share a time grid together, as arrays, with
-``simulate``'s operations in its order, so each cell's summary is its own
-run's.
+advances the cells that share a time grid together, as arrays, through the
+same ``_rk4``; ichthyocentric and conservative cells decide as masks, and
+each qualitative cell steps its own ``ControllerState`` through
+``qualitative_step``.  Every cell runs ``simulate``'s operations in its
+order, so its summary is its own run's.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ from .control import (
     CONSERVATIVE,
     ICHTHYOCENTRIC,
     QUALITATIVE,
-    ControllerArrays,
     ControllerState,
     StrategySettings,
     conservative_recommend,
     ichthyocentric_recommend,
     qualitative_step,
-    qualitative_steps,
 )
 from .econ import (
     EconParams,
@@ -55,7 +55,6 @@ from .viability import (
     ViabilityVerdict,
     check_viability_domain,
     classify_region,
-    region_codes,
 )
 
 __all__ = [
@@ -198,8 +197,9 @@ class TrajectoryRecord:
 
 
 def _rk4(rhs: Callable[[float], float], x: float, dt: float, k1: float) -> float:
-    """Classical fourth-order step from ``x``; ``k1 = rhs(x)`` is passed in
-    because the simulation loop already has it from the recorded solve."""
+    """Classical fourth-order step from ``x``, a stock or a column of them;
+    ``k1 = rhs(x)`` is passed in because the simulation loop already has it
+    from the recorded solve."""
     k2 = rhs(x + 0.5 * dt * k1)
     k3 = rhs(x + 0.5 * dt * k2)
     k4 = rhs(x + dt * k3)
@@ -431,12 +431,14 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     cfg)``, the cells advanced together as one ensemble.
 
     The cells share ``dt``, the step count, the control interval and the
-    record stride.  Stock, recommendation and controller state are arrays
-    with one entry per cell, and each step runs ``simulate``'s step with
-    the same operations in the same order: one pointwise
-    ``harvest_curve`` call at the stock and one per RK stage (one more at
-    a qualitative decision), the three strategies as masks over the cells,
-    and the first floor violation read from the flag arrays.  So every cell
+    record stride.  Stock, recommendation and moratorium flag are arrays
+    with one entry per cell, and each step runs ``simulate``'s step with the
+    same operations in the same order: one pointwise ``harvest_curve`` call
+    at the stock and one per stage of the same ``_rk4`` (one more at a
+    qualitative decision), ichthyocentric and conservative decisions as
+    masks, each qualitative cell's ``ControllerState`` stepped through
+    ``qualitative_step``, and the first floor violation read from the flag
+    arrays.  So every cell
     equals its own ``simulate`` bit for bit.  Where the scalar code would
     raise (the floor recommendation at a stock that is not positive, or
     whose product with the deviation weight underflows to 0), that cell's
@@ -480,12 +482,11 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     x = column(c.initial_stock for c in cfgs)
     strategy = [state.settings.strategy for state in states]
     w, wb, wa, offset = np.array([floor_terms(p, s) for p, s in zip(econs, strategy)], dtype=float).T
-    ichthyocentric, conservative, qualitative = (
-        np.array([s is member for s in strategy])
-        for member in (ICHTHYOCENTRIC, CONSERVATIVE, QUALITATIVE))
-    controllers = ControllerArrays.stack(states)
-    r, moratorium = controllers.recommendation, controllers.moratorium
-    trend = np.array(trends)
+    ichthyocentric, conservative = (np.array([s is member for s in strategy])
+                                    for member in (ICHTHYOCENTRIC, CONSERVATIVE))
+    ruled = [j for j, s in enumerate(strategy) if s is QUALITATIVE]   # on the rule table
+    r = column(state.recommendation for state in states)
+    moratorium = np.array([state.moratorium for state in states])
     dead = np.zeros(len(live), dtype=bool)   # cells whose decision raised
 
     cfg = cfgs[0]
@@ -514,15 +515,17 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
                 except Exception as exc:  # recorded in-grid, sweep continues
                     results[live[j]] = _failed(cells[live[j]][0], exc)
                     dead[j] = True
-        if qualitative.any():
-            h = harvest_curve(params, x, r, pointwise=True)
-            h[moratorium] = 0.0
-            qualitative_steps(controllers, qualitative,
-                              region_codes(trend, h, r, harvest_floor))
+        if ruled:
+            hs = np.where(moratorium, 0.0, harvest_curve(params, x, r, pointwise=True)).tolist()
+            for j in ruled:
+                state = qualitative_step(states[j], classify_region(
+                    trends[j], hs[j], states[j].recommendation, floors[j]))
+                r[j], moratorium[j] = state.recommendation, state.moratorium
 
-    def rhs(s: np.ndarray, idle: bool) -> np.ndarray:
+    def rhs(s: np.ndarray, idle: bool, h: np.ndarray | None = None) -> np.ndarray:
+        # h, the harvest at s, when already solved: the recorded one at stage k1
         g = growth * s * (1.0 - s / capacity)
-        out = g - harvest_curve(params, s, r, pointwise=True)
+        out = g - (harvest_curve(params, s, r, pointwise=True) if h is None else h)
         np.copyto(out, 0.0, where=s <= 0.0)
         if idle:
             np.copyto(out, np.where(s > 0.0, g, 0.0), where=moratorium)
@@ -532,7 +535,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     with np.errstate(all="ignore"):
         for k in range(n_steps + 1):
             if k > 0 and k % per_control == 0:
-                trend = np.where(x - prev_control_x <= -deadband, -1, 1)
+                trends = np.where(x - prev_control_x <= -deadband, -1, 1).tolist()
                 prev_control_x = x
                 decide()
             h = harvest_curve(params, x, r, pointwise=True)
@@ -551,14 +554,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
             if k == n_steps:
                 break
 
-            g = growth * x * (1.0 - x / capacity)
-            k1 = g - h
-            if idle:
-                np.copyto(k1, np.where(x > 0.0, g, 0.0), where=moratorium)
-            k2 = rhs(x + 0.5 * dt * k1, idle)
-            k3 = rhs(x + 0.5 * dt * k2, idle)
-            k4 = rhs(x + dt * k3, idle)
-            x_next = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            x_next = _rk4(lambda s: rhs(s, idle), x, dt, rhs(x, idle, h))
             np.copyto(x_next, 0.0, where=(x_next <= 0.0) & (x > 0.0))
             x = x_next
 

@@ -360,11 +360,9 @@ def monotonicity_suite(seed: int = DEFAULT_SEED, instances: int = 400) -> SuiteR
 
 
 def run_all(seed: int = DEFAULT_SEED, instances: int | None = None) -> list[SuiteReport]:
-    """Run every suite; ``instances`` overrides each suite's default count."""
-    return [
-        nash_agreement_suite(seed, instances or 1000),
-        viability_domain_suite(seed + 1, instances or 2000),
-        floor_biconditional_suite(seed + 2, instances or 10000),
-        catch_cap_biconditional_suite(seed + 3, instances or 10000),
-        monotonicity_suite(seed + 4, instances or 400),
-    ]
+    """Run every suite, the i-th at ``seed + i``; ``instances``, unless
+    None, overrides each suite's default count."""
+    counts = {} if instances is None else {"instances": instances}
+    return [suite(seed + i, **counts) for i, suite in enumerate(
+        (nash_agreement_suite, viability_domain_suite, floor_biconditional_suite,
+         catch_cap_biconditional_suite, monotonicity_suite))]

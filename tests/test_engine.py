@@ -1,5 +1,6 @@
 """Simulation engine: integration accuracy, events, determinism, sweeps."""
 
+import collections
 import itertools
 import math
 import os
@@ -644,6 +645,26 @@ def test_lockstep_matches_simulate_on_special_cells():
     record = simulate(*cells[0][1:])
     assert {e.kind for e in record.events} >= {EVENT_MORATORIUM_START, EVENT_MORATORIUM_END}
     assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
+
+
+def test_lockstep_steps_qualitative_cells_through_the_rule_table(monkeypatch):
+    # one rule table for both paths: each qualitative cell's own state goes
+    # through engine.qualitative_step at every decision (30 in 300 steps),
+    # and once more at t = 0 when its trend is seeded
+    cells = _special_cells()
+    expected = _scalar(cells)
+    calls = collections.Counter()
+    step = engine.qualitative_step
+
+    def counted(state, region):
+        calls[id(state.settings)] += 1
+        return step(state, region)
+
+    monkeypatch.setattr(engine, "qualitative_step", counted)
+    assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
+    ruled = [cfg.settings for *_, cfg in cells if cfg.settings.strategy is Strategy.QUALITATIVE]
+    assert len(ruled) == 6
+    assert calls == {id(s): 30 + (s.initial_trend is not None) for s in ruled}
 
 
 def test_lockstep_matches_simulate_on_settled_runs(canonical_scenario_path, crisis_scenario_path,

@@ -482,6 +482,20 @@ class TestSweepCommand:
                      "--out", str(tmp_path), "--axes", "econ.nope=1:2:3"]) == 1
 
     @pytest.mark.parametrize("axes", [
+        "econ.price=1|2,econ.price=5|6,simulation.horizon=1:1:1",
+        "econ.price=1:2:2,simulation.horizon=1|2, econ.price =3",
+    ])
+    def test_repeated_axis_field_is_usage_error(self, canonical_scenario_path, tmp_path,
+                                                capsys, axes):
+        # the later values would silently override the earlier ones in every cell
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", axes]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --axes econ.price: ") and "given twice" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("axes", [
         "econ.price=-1|1",
         "strategy.name=foo|qualitative",
         "strategy.initial_trend=sideways|growing",
@@ -589,6 +603,13 @@ class TestVerifyCommand:
 
     def test_different_seed_still_passes(self, capsys):
         assert main(["verify", "--seed", "99", "--instances", "10"]) == 0
+
+    @pytest.mark.parametrize("count", ["0", "-1", "-3"])
+    def test_instances_below_one_is_usage_error(self, capsys, count):
+        assert main(["verify", "--instances", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --instances: N must be at least 1\n"
+        assert captured.out == ""
 
 
 # sha256 of trajectory.csv/events.json of a 20-time-unit canonical run with

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from quotavia import EconParams, Recruitment, ViabilityBounds
+from quotavia import EconParams, Recruitment, ViabilityBounds, verification
 from quotavia.econ import (
     BOUNDARY_TOL,
     Regime,
@@ -185,6 +185,26 @@ def test_catch_cap_biconditional_reduced():
 def test_monotonicity_reduced():
     report = monotonicity_suite(seed=9, instances=80)
     assert report.passed, report.line()
+
+
+SUITES = ("nash_agreement", "viability_domain", "floor_biconditional",
+          "catch_cap_biconditional", "monotonicity")
+
+
+@pytest.mark.parametrize("instances, counts", [
+    (None, [1000, 2000, 10000, 10000, 400]),   # each suite's own default
+    (0, [0] * 5),                              # 0 is a count, not a request for the defaults
+    (7, [7] * 5),
+])
+def test_run_all_seeds_and_counts(monkeypatch, instances, counts):
+    calls = []
+    for name in SUITES:
+        real = getattr(verification, f"{name}_suite")
+        monkeypatch.setattr(verification, f"{name}_suite",
+                            lambda seed, instances=real.__defaults__[-1], name=name:
+                            calls.append((name, seed, instances)))
+    verification.run_all(seed=40, instances=instances)
+    assert calls == [(name, 40 + i, n) for i, (name, n) in enumerate(zip(SUITES, counts))]
 
 
 def test_reports_render():
