@@ -157,8 +157,11 @@ def _parse_grid(spec: str):
         raise _UsageError("--grid: stock axis must be positive")
     if (nx > 1 and x_max <= x_min) or (nr > 1 and r_max < r_min) or r_min < 0.0:
         raise _UsageError("--grid: degenerate rectangle")
-    xs = np.linspace(x_min, x_max, nx) if nx > 1 else np.array([x_min])
-    rs = np.linspace(r_min, r_max, nr) if nr > 1 else np.array([r_min])
+    try:
+        xs = np.linspace(x_min, x_max, nx) if nx > 1 else np.array([x_min])
+        rs = np.linspace(r_min, r_max, nr) if nr > 1 else np.array([r_min])
+    except (MemoryError, ValueError) as exc:  # an axis numpy cannot allocate
+        raise _UsageError(f"--grid: cannot allocate NX={nx}, NR={nr} points: {exc}") from None
     return [float(v) for v in xs], [float(v) for v in rs]
 
 
@@ -232,6 +235,8 @@ def _parse_axes(spec: str) -> list[tuple[str, list]]:
             raise _UsageError(f"--axes {field}: {exc}") from None
         if count < 1:
             raise _UsageError(f"--axes {field}: N must be at least 1")
+        if count > _MAX_SWEEP_CELLS:  # refused before linspace tries to allocate it
+            raise _UsageError(f"--axes {field}: N of {count} exceeds the {_MAX_SWEEP_CELLS} cell limit")
         # a single value is LO itself, checked like any other value; linspace
         # would spread a non-finite bound into values nobody wrote
         if count > 1 and not (math.isfinite(lo) and math.isfinite(hi)):
@@ -280,6 +285,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.instances is not None and args.instances < 1:
         raise _UsageError("--instances: N must be at least 1")
+    if args.seed < 0:
+        raise _UsageError(f"--seed: {args.seed} is negative; seeds are non-negative integers")
     reports = run_all(seed=args.seed, instances=args.instances)
     for report in reports:
         print(report.line())

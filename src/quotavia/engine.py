@@ -76,12 +76,8 @@ __all__ = [
 # runs took 0.88 of the lockstep time at 64 cells, 1.11 at 80 and 2.3 at 192.
 _LOCKSTEP_MIN_CELLS = 72
 
-# Cells a sweep builds at a time: what it holds built, whatever its size.
+# Cells a sweep builds, and runs, at a time: what it holds, whatever its size.
 _SWEEP_BATCH = 4096
-
-# Recorded harvests one lockstep run keeps, 16 MB of float64: a group whose
-# cells record S samples each runs _KEPT_HARVESTS // S cells at a time.
-_KEPT_HARVESTS = 1 << 21
 
 # Steps one simulate run keeps for reuse; its tables are emptied when they
 # hold this many.  The repeats seen are short: canonical.ini settles on a
@@ -193,7 +189,10 @@ class TrajectoryRecord:
 
     def mean_harvest(self, t_from: float = 0.0) -> float:
         values = [s.h for s in self.samples if s.t >= t_from]
-        return sum(values) / len(values)
+        total = 0.0   # left to right, as sweep adds; sum() compensates on 3.12+
+        for h in values:
+            total += h
+        return total / len(values)
 
 
 def _rk4(rhs: Callable[[float], float], x: float, dt: float, k1: float) -> float:
@@ -255,7 +254,11 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     Every control interval the strategy updates the recommendation from its
     observations; every dt the negotiation outcome is re-evaluated at the
     current stock and the stock is advanced.  Pathological states surface as
-    events, never as exceptions.
+    events, except that the conservative strategy raises, until these cases
+    get a defined action: ``ValueError: stock must be positive`` at its first
+    decision after an extinction, ``ZeroDivisionError`` where the deviation
+    weight times the stock underflows to 0, and ``ValueError`` without
+    deviation costs.
 
     A step is a pure function of the stock, the recommendation and the
     moratorium flag, since the parameters, recruitment and dt are fixed.  A
@@ -437,13 +440,13 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     at the stock and one per stage of the same ``_rk4`` (one more at a
     qualitative decision), ichthyocentric and conservative decisions as
     masks, each qualitative cell's ``ControllerState`` stepped through
-    ``qualitative_step``, and the first floor violation read from the flag
-    arrays.  So every cell
-    equals its own ``simulate`` bit for bit.  Where the scalar code would
-    raise (the floor recommendation at a stock that is not positive, or
-    whose product with the deviation weight underflows to 0), that cell's
-    decision runs the scalar code, and an exception it raises becomes the
-    cell's error.
+    ``qualitative_step``, the first floor violation read from the flag
+    arrays, and each recorded harvest added to the cell's running total in
+    ``mean_harvest``'s order.  So every cell equals its own ``simulate`` bit
+    for bit.  Where the scalar code would raise (the floor recommendation at
+    a stock that is not positive, or whose product with the deviation weight
+    underflows to 0), that cell's decision runs the scalar code, and an
+    exception it raises becomes the cell's error.
     """
     results: list[CellResult | None] = [None] * len(cells)
     live, states, trends = [], [], []
@@ -494,8 +497,8 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     per_control = round(cfg.control_interval / dt)
     n_steps = round(cfg.horizon / dt)
     stride = cfg.record_stride
-    kept = np.empty((_samples(n_steps, stride), len(live)))   # recorded h, a row per sample
-    first_violation = np.full(len(live), -1)                   # step, or -1
+    total = np.zeros(len(live))                # recorded h, added left to right
+    first_violation = np.full(len(live), -1)   # step, or -1
     prev_control_x = x
     eco_before = econ_before = None
     row = 0
@@ -549,7 +552,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
                     first_violation[fell & (first_violation < 0)] = k
             eco_before, econ_before = eco, econ
             if k % stride == 0 or k == n_steps:
-                kept[row] = h
+                total += h
                 row += 1
             if k == n_steps:
                 break
@@ -562,13 +565,8 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
         if not dead[j]:
             step = int(first_violation[j])
             results[i] = CellResult(cells[i][0], step >= 0, step * dt if step >= 0 else None,
-                                    float(x[j]), sum(kept[:, j].tolist()) / row)
+                                    float(x[j]), float(total[j]) / row)
     return results
-
-
-def _samples(n_steps: int, stride: int) -> int:
-    """Samples of a run: every ``stride``-th step and the last one."""
-    return n_steps // stride + 1 + (n_steps % stride != 0)
 
 
 def _run_group(cells: list[tuple]) -> list[CellResult]:
@@ -591,9 +589,8 @@ def sweep(build: Callable[[dict], tuple[EconParams, Recruitment, ViabilityBounds
     Cells are built ``_SWEEP_BATCH`` at a time and grouped by time grid
     (``dt``, steps, steps per control interval, record stride).  A group of
     at least ``_LOCKSTEP_MIN_CELLS`` cells advances in lockstep, as one
-    ensemble on the array Nash kernel (:func:`_lockstep`), in runs that
-    keep at most ``_KEPT_HARVESTS`` recorded harvests; a smaller group runs
-    ``simulate`` cell by cell.  Both give every cell the summary, or the
+    ensemble on the array Nash kernel (:func:`_lockstep`); a smaller group
+    runs ``simulate`` cell by cell.  Both give every cell the summary, or the
     ``"<type>: <message>"`` error, of its own ``simulate``, bit for bit.
     """
     fields = [name for name, _ in axes]
@@ -611,11 +608,8 @@ def sweep(build: Callable[[dict], tuple[EconParams, Recruitment, ViabilityBounds
                 done[i] = _failed(combo, exc)
                 continue
             groups.setdefault(key, []).append((i, (combo, params, rec, bounds, cfg)))
-        for (_, n_steps, _, stride), members in groups.items():
-            per_run = max(1, _KEPT_HARVESTS // _samples(n_steps, stride))
-            for lo in range(0, len(members), per_run):
-                run = members[lo:lo + per_run]
-                for (i, _), result in zip(run, _run_group([cell for _, cell in run])):
-                    done[i] = result
+        for members in groups.values():
+            for (i, _), result in zip(members, _run_group([cell for _, cell in members])):
+                done[i] = result
         results.extend(done)
     return results

@@ -422,6 +422,16 @@ def test_record_stride_keeps_terminal_sample(symmetric_params, logistic, floors)
     assert record.samples[-1].x == dense.samples[-1].x
 
 
+def test_mean_harvest_adds_left_to_right():
+    # 1.0 + 2**-53 rounds back to 1.0 at each addition, as a sweep's running
+    # total adds; sum() compensates from Python 3.12 on and gets 1 + 2**-51
+    harvests = [1.0] + [2.0 ** -53] * 4
+    record = engine.TrajectoryRecord(
+        [engine.Sample(float(k), 1.0, 0.0, h, 0.0, 0.0, None, None, None, True, True)
+         for k, h in enumerate(harvests)], [], {})
+    assert record.mean_harvest() == 1.0 / 5
+
+
 def test_conservative_control_is_viable_on_random_domains():
     # from any admissible start inside a verified viability domain the
     # conservative law keeps both floors satisfied for the whole horizon
@@ -506,8 +516,7 @@ class TestSweep:
         assert cells[1].violated
 
     def test_batches_and_lockstep_runs_keep_every_cell(self, logistic, floors, monkeypatch):
-        # 7-cell build batches, lockstep runs of at most 3 cells (31 samples
-        # of 30 steps each), two time grids and failing builds in between:
+        # 7-cell build batches, two time grids and failing builds in between:
         # every cell as its own simulate gives it, in row-major order
         def build(overrides):
             if overrides["econ.price"] == 2.5 and overrides["simulation.dt"] == 0.02:
@@ -521,7 +530,6 @@ class TestSweep:
         axes = [("simulation.dt", [0.01, 0.02]), ("strategy.name", list(Strategy)),
                 ("econ.price", [1.5, 2.0, 2.5, 300.0])]
         monkeypatch.setattr(engine, "_SWEEP_BATCH", 7)
-        monkeypatch.setattr(engine, "_KEPT_HARVESTS", 100)
         monkeypatch.setattr(engine, "_LOCKSTEP_MIN_CELLS", 2)
         runs = []
         real = engine._lockstep
@@ -534,7 +542,10 @@ class TestSweep:
                                                                  "econ.price": price}))
                     for dt, name, price in itertools.product(*(v for _, v in axes))]
         assert [_bits(cell) for cell in cells] == [_bits(cell) for cell in expected]
-        assert runs and max(runs) == 3
+        # one lockstep run per time grid per batch: cells 0-6 at dt 0.01;
+        # 7-11 at 0.01 and 12-13 at 0.02; 14-20 at 0.02 but for the failing
+        # 14 and 18; 21 and 23
+        assert runs == [7, 5, 2, 5, 2]
 
     def test_failed_cell_recorded_not_raised(self, symmetric_params, logistic, floors):
         def build(overrides):

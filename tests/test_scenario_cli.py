@@ -346,6 +346,17 @@ class TestPhaseCommand:
         assert main(["phase", "--config", canonical_scenario_path,
                      "--out", str(tmp_path), "--grid", "2.0:1.0:0.0:1.0:5:5"]) == 1
 
+    @pytest.mark.parametrize("grid", ["0.1:2:0:1:1000000000000000:2",
+                                      "0.1:2:0:1:2:100000000000000000000"])
+    def test_axis_numpy_cannot_allocate_is_usage_error(self, canonical_scenario_path,
+                                                       tmp_path, capsys, grid):
+        out = tmp_path / "out"
+        assert main(["phase", "--config", canonical_scenario_path, "--out", str(out),
+                     "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid: cannot allocate NX=") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unprofitable_zone_rows(self, canonical_scenario_path, tmp_path):
         assert main(["phase", "--config", canonical_scenario_path,
                      "--out", str(tmp_path), "--grid", "0.3:0.3:0.5:1.0:1:3"]) == 0
@@ -495,6 +506,17 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("count", ["1000000000000000", "100000000000000000000"])
+    def test_axis_count_above_the_cell_limit_is_usage_error(self, canonical_scenario_path,
+                                                           tmp_path, capsys, count):
+        # numpy cannot allocate either axis: 7.11 PiB, and above its maximum size
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", canonical_scenario_path, "--out", str(out),
+                     "--axes", f"econ.price=1:2:{count}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --axes econ.price: N of {count} exceeds the 1000000 cell limit\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("axes", [
         "econ.price=-1|1",
         "strategy.name=foo|qualitative",
@@ -609,6 +631,12 @@ class TestVerifyCommand:
         assert main(["verify", "--instances", count]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: --instances: N must be at least 1\n"
+        assert captured.out == ""
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["verify", "--seed", "-1", "--instances", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed: -1 is negative; seeds are non-negative integers\n"
         assert captured.out == ""
 
 
