@@ -214,6 +214,7 @@ def _cmd_phase(args) -> int:
 
 def _parse_axes(spec: str) -> list[tuple[str, list]]:
     axes = []
+    cells = 1   # of the axes so far, checked before linspace allocates the next
     if not spec:
         return axes
     for chunk in spec.split(","):
@@ -224,25 +225,28 @@ def _parse_axes(spec: str) -> list[tuple[str, list]]:
         if any(field == name for name, _ in axes):  # its later values would override these
             raise _UsageError(f"--axes {field}: field given twice")
         if "|" in definition:
-            axes.append((field, [v.strip() for v in definition.split("|")]))
-            continue
-        parts = definition.split(":")
-        if len(parts) != 3:
-            raise _UsageError(f"--axes {field}: expected LO:HI:N")
-        try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise _UsageError(f"--axes {field}: {exc}") from None
-        if count < 1:
-            raise _UsageError(f"--axes {field}: N must be at least 1")
-        if count > _MAX_SWEEP_CELLS:  # refused before linspace tries to allocate it
-            raise _UsageError(f"--axes {field}: N of {count} exceeds the {_MAX_SWEEP_CELLS} cell limit")
-        # a single value is LO itself, checked like any other value; linspace
-        # would spread a non-finite bound into values nobody wrote
-        if count > 1 and not (math.isfinite(lo) and math.isfinite(hi)):
-            raise _UsageError(f"--axes {field}: LO and HI must be finite")
-        values = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-        axes.append((field, [float(v) for v in values]))
+            values = [v.strip() for v in definition.split("|")]
+            count = len(values)
+        else:
+            parts = definition.split(":")
+            if len(parts) != 3:
+                raise _UsageError(f"--axes {field}: expected LO:HI:N")
+            try:
+                lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise _UsageError(f"--axes {field}: {exc}") from None
+            if count < 1:
+                raise _UsageError(f"--axes {field}: N must be at least 1")
+        cells *= count
+        if cells > _MAX_SWEEP_CELLS:
+            raise _UsageError(f"--axes: {cells} cells exceeds the {_MAX_SWEEP_CELLS} limit")
+        if "|" not in definition:
+            # a single value is LO itself, checked like any other value;
+            # linspace would spread a non-finite bound into values nobody wrote
+            if count > 1 and not (math.isfinite(lo) and math.isfinite(hi)):
+                raise _UsageError(f"--axes {field}: LO and HI must be finite")
+            values = [float(v) for v in (np.linspace(lo, hi, count) if count > 1 else [lo])]
+        axes.append((field, values))
     return axes
 
 
@@ -259,11 +263,6 @@ def _sweep_row(cell) -> str:
 def _cmd_sweep(args) -> int:
     cfg = _load(args.config)
     axes = _parse_axes(args.axes)
-    cells = 1
-    for _, values in axes:
-        cells *= len(values)
-    if cells > _MAX_SWEEP_CELLS:
-        raise _UsageError(f"--axes: {cells} cells exceeds the {_MAX_SWEEP_CELLS} limit")
     # validate axis fields and first values up front: a bad one is a config error
     _simulation_inputs(cfg.with_overrides({field: values[0] for field, values in axes}))
     os.makedirs(args.out, exist_ok=True)

@@ -21,8 +21,10 @@ order, so its summary is its own run's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -189,10 +191,8 @@ class TrajectoryRecord:
 
     def mean_harvest(self, t_from: float = 0.0) -> float:
         values = [s.h for s in self.samples if s.t >= t_from]
-        total = 0.0   # left to right, as sweep adds; sum() compensates on 3.12+
-        for h in values:
-            total += h
-        return total / len(values)
+        # left to right, as sweep adds them; sum() compensates on 3.12+
+        return functools.reduce(operator.add, values, 0.0) / len(values)
 
 
 def _rk4(rhs: Callable[[float], float], x: float, dt: float, k1: float) -> float:

@@ -506,15 +506,20 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("count", ["1000000000000000", "100000000000000000000"])
-    def test_axis_count_above_the_cell_limit_is_usage_error(self, canonical_scenario_path,
-                                                           tmp_path, capsys, count):
+    @pytest.mark.parametrize("axes, cells", [
         # numpy cannot allocate either axis: 7.11 PiB, and above its maximum size
+        ("econ.price=1:2:1000000000000000", 10**15),
+        ("econ.price=1:2:100000000000000000000", 10**20),
+        # every axis is within the limit, their product is not
+        ("econ.price=1:2:1001,econ.alpha_1=1:2:1000", 1001000),
+        ("econ.price=1|2,econ.alpha_1=1:2:500001", 1000002),
+    ])
+    def test_grid_above_the_cell_limit_is_usage_error(self, canonical_scenario_path,
+                                                      tmp_path, capsys, axes, cells):
         out = tmp_path / "out"
         assert main(["sweep", "--config", canonical_scenario_path, "--out", str(out),
-                     "--axes", f"econ.price=1:2:{count}"]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: --axes econ.price: N of {count} exceeds the 1000000 cell limit\n"
+                     "--axes", axes]) == 1
+        assert capsys.readouterr().err == f"error: --axes: {cells} cells exceeds the 1000000 limit\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("axes", [
