@@ -51,10 +51,9 @@ Measured, one process, one thread:
   replaced by its recorded canonical result, per ``trajectory.csv`` row
   (so it also holds the config load, ``events.json`` and the summary line);
 * ``phase_ns_per_row``: the ``phase`` command on the 200x200 grid with the
-  grid's blocks (``viability.phase_blocks``; in a checkout from before it,
-  the rows of ``phase_rows``) replaced by their computed values, per
-  ``phase_grid.csv`` row, so it times formatting and writing (and also
-  holds the config load and the critical levels);
+  grid's blocks (``viability.phase_blocks``) replaced by their computed
+  values, per ``phase_grid.csv`` row, so it times formatting and writing
+  (and also holds the config load and the critical levels);
 * ``phase_200x200_s``: the whole ``phase`` command on that grid;
 * ``sweep_192_s``: the whole ``sweep`` command on the benchmark's
   192-cell grid (``perfbench/workloads.py``, seed 1);
@@ -212,8 +211,7 @@ def measure(root: str, repeat: int) -> dict:
         phase_argv = ["phase", "--config", canonical, "--out", out, "--grid", PHASE_GRID]
         record = simulate(*cfg.build())
         xs, rs = cli._parse_grid(PHASE_GRID)
-        phase_grid = "phase_blocks" if hasattr(cli, "phase_blocks") else "phase_rows"
-        grid = list(getattr(cli, phase_grid)(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
+        grid = list(cli.phase_blocks(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
 
         def simulation(name: str, path: str, overrides: dict | None = None):
             params, rec, bounds, sim = ScenarioConfig.from_file(path).with_overrides(
@@ -252,7 +250,7 @@ def measure(root: str, repeat: int) -> dict:
              lambda: replayed(cli, "simulate", lambda *_: record,
                               ["simulate", "--config", canonical, "--out", out])),
             ("phase_ns_per_row", "ns", len(xs) * len(rs),
-             lambda: replayed(cli, phase_grid, lambda *_: iter(grid), phase_argv)),
+             lambda: replayed(cli, "phase_blocks", lambda *_: iter(grid), phase_argv)),
             ("phase_200x200_s", "s", 1, lambda: cli_main(phase_argv)),
             ("sweep_192_s", "s", 1,
              lambda axes=sweep_axes(root): cli_main(["sweep", "--config", canonical,

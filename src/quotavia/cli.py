@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import viability
 from .control import Strategy
 from .econ import Regime
 from .engine import simulate, summarize, sweep
@@ -25,12 +24,6 @@ from .verification import DEFAULT_SEED, run_all
 from .viability import Region, check_viability_domain, critical_levels, phase_blocks
 
 __all__ = ["main"]
-
-# Not called here: ``phase`` builds its grid with phase_blocks.  The
-# benchmark's tracer (perfbench/tracer.py) hooks quotavia.cli.phase_rows and
-# its tests require every hooked name to exist; drop this alias when that
-# hook moves to phase_blocks.
-phase_rows = viability.phase_rows
 
 _MAX_SWEEP_CELLS = 10 ** 6
 
@@ -50,12 +43,11 @@ def _fmt(value: float | str) -> str:
     return str(value)
 
 
-# One %-template per CSV row: "%.17g" % v == f"{v:.17g}" for every float,
-# so these lines are the bytes _fmt would give, built in one call per row.
-# Enum members are read through ``_value_``, the attribute ``Enum`` documents
-# as holding the value; ``.value`` is a descriptor call per member.
+# The %-template of a trajectory row: "%.17g" % v == f"{v:.17g}" for every
+# float, so its lines are the bytes _fmt would give, built in one call per
+# row.  Enum members are read through ``_value_``, the attribute ``Enum``
+# documents as holding the value; ``.value`` is a descriptor call per member.
 _TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\n"
-_PHASE_ROW = "%.17g,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%s\n"
 _BOOL = ("false", "true")
 
 
@@ -88,15 +80,24 @@ def _require_deviation_costs(cfg: ScenarioConfig, user: str) -> None:
                           "are undefined")
 
 
+def _require_weighted(econ, x: float, where: str, error=ConfigError) -> None:
+    """The threshold curves divide by the deviation weight times the stock."""
+    if (econ.beta_1 * econ.kappa_2 + econ.beta_2 * econ.kappa_1) * x == 0.0:
+        raise error(f"{where} {x!r} times beta_1 * kappa_2 + beta_2 * kappa_1 underflows to 0")
+
+
 def _simulation_inputs(cfg: ScenarioConfig):
     if cfg.strategy.strategy is Strategy.CONSERVATIVE:
         _require_deviation_costs(cfg, "the conservative strategy")
+    if not cfg.econ.unmanaged:  # the run's viability check, at the stock floor
+        _require_weighted(cfg.econ, cfg.bounds.stock_floor, "[bounds] stock_floor:")
     return cfg.build()
 
 
 def _cmd_check(args) -> int:
     cfg = _load(args.config)
     _require_deviation_costs(cfg, "check")
+    _require_weighted(cfg.econ, cfg.bounds.stock_floor, "[bounds] stock_floor:")
     verdict = check_viability_domain(cfg.econ, cfg.recruitment, cfg.bounds)
     ok = verdict.conditions
     print(f"condition (i)   harvest floor attainable unmanaged: margin={_fmt(verdict.margin_floor_attainable)} "
@@ -165,15 +166,15 @@ def _parse_grid(spec: str):
     return [float(v) for v in xs], [float(v) for v in rs]
 
 
-def _phase_lines(blocks, rs: list[float]):
-    """The ``phase_grid.csv`` rows of ``phase_blocks``' blocks, the bytes of
-    ``_PHASE_ROW``.  Each stock's values and each recommendation are
-    formatted once; per point only the harvest is."""
+def phase_rows(params, rec, bounds, xs: list[float], rs: list[float]):
+    """Yield the ``phase_grid.csv`` rows of :func:`phase_blocks` over the
+    stocks ``xs`` and recommendations ``rs``, stock by stock.  Each stock's
+    values and each recommendation are formatted once, only h per point."""
     r_text = ["%.17g," % r for r in rs]
     # a point's regime and sign as one index, 3 * regime + sign + 1
     tags = [f"{regime._value_},{sign}" for regime in Regime for sign in (-1, 0, 1)]
     regions = [f"{region._value_}\n" for region in Region]
-    for block in blocks:
+    for block in phase_blocks(params, rec, bounds, xs, rs):
         for x, unmanaged, ceiling, floor, hs, marks, codes in zip(
                 block.x, block.unmanaged, block.ceiling, block.floor, block.h.tolist(),
                 (3 * block.regime + block.sign + 1).tolist(), block.region.tolist()):
@@ -187,18 +188,13 @@ def _cmd_phase(args) -> int:
     cfg = _load(args.config)
     _require_deviation_costs(cfg, "phase")
     xs, rs = _parse_grid(args.grid)
-    econ = cfg.econ
-    # the threshold curves divide by the deviation weight times the stock
-    if (econ.beta_1 * econ.kappa_2 + econ.beta_2 * econ.kappa_1) * xs[0] == 0.0:
-        raise _UsageError(f"--grid: XMIN {xs[0]!r} times beta_1 * kappa_2 + beta_2 * kappa_1 "
-                          "underflows to 0")
+    _require_weighted(cfg.econ, xs[0], "--grid: XMIN", _UsageError)
     os.makedirs(args.out, exist_ok=True)
-    blocks = phase_blocks(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs)
     _write_csv(os.path.join(args.out, "phase_grid.csv"),
                ["x", "r", "h", "regime", "sign_growth_minus_harvest",
                 "unmanaged_harvest", "recommendation_ceiling",
                 "recommendation_floor", "region"],
-               _phase_lines(blocks, rs))
+               phase_rows(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
     levels = critical_levels(cfg.econ, cfg.recruitment, cfg.bounds)
     payload = {
         "a": levels.a,

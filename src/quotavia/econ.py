@@ -291,15 +291,6 @@ def harvest_level(params: EconParams, x: float, r: float) -> float:
 _BLOCK_POINTS = 1 << 14
 
 
-def _block_rows(value, rows: slice):
-    """The rows of a block: a column of per-row values is sliced, a value
-    shared by every row (a float, or the grid's row of recommendations) is
-    used as is."""
-    if isinstance(value, np.ndarray) and value.ndim == 2 and value.shape[0] > 1:
-        return value[rows]
-    return value
-
-
 def _free_catch(params: EconParams, X: np.ndarray):
     """Each group's gain and free optimum at the stocks ``X``, and the free
     catch, in the operation order of :func:`_nash_point`: a negative or NaN
@@ -340,10 +331,10 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
     The terms that depend on ``x`` (and the parameters) alone are computed
     once, as columns.  A grid is then evaluated a few rows at a time, so
     that every temporary holds about ``_BLOCK_POINTS`` values and stays in
-    cache; each block's interior harvest is written straight into the
-    result, the non-deviating points overwrite it, and the single-group
-    branches are built only for a block that has a point in neither of
-    those two.
+    cache, and a pointwise call, whose columns vary per point, in one block.
+    Each block's interior harvest is written straight into the result, the
+    non-deviating points overwrite it, and the single-group branches are
+    built only for a block that has a point in neither of those two.
     """
     X, R = _axes(x_values, r_values, pointwise)
     b1, b2 = params.beta_1, params.beta_2
@@ -365,7 +356,7 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
 
     shape = (X.size, 1 if pointwise else R.size)
     out = np.empty(shape)
-    rows = max(1, _BLOCK_POINTS // max(shape[1], 1))
+    rows = max(1, X.size) if pointwise else max(1, _BLOCK_POINTS // max(shape[1], 1))
     block = (min(rows, X.size), shape[1])
     q1_buf, q2_buf = np.empty(block), np.empty(block)
     nondev_buf, interior_buf, settled_buf = (np.empty(block, dtype=bool) for _ in range(3))
@@ -374,22 +365,20 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
         n = c.stop - lo
         hb, q1, q2 = out[c], q1_buf[:n], q2_buf[:n]
         nondev, interior, settled = nondev_buf[:n], interior_buf[:n], settled_buf[:n]
-        Rc = _block_rows(R, c)
-        B1, B2 = _block_rows(b1, c), _block_rows(b2, c)
         # interior branch, in the operation order of _nash_point; q2 holds
         # the excess over the recommendation until q1 is done
-        np.multiply(wx[c], Rc, out=hb)
+        np.multiply(wx[c], R, out=hb)
         np.add(num[c], hb, out=hb)
         np.divide(hb, den[c], out=hb)
-        np.subtract(hb, Rc, out=q2)
+        np.subtract(hb, R, out=q2)
         np.multiply(kx1[c], q2, out=q1)
-        np.divide(q1, B1, out=q1)
+        np.divide(q1, b1, out=q1)
         np.subtract(opt1[c], q1, out=q1)
         np.multiply(kx2[c], q2, out=q2)
-        np.divide(q2, B2, out=q2)
+        np.divide(q2, b2, out=q2)
         np.subtract(opt2[c], q2, out=q2)
 
-        np.less_equal(free[c], _block_rows(r_tol, c), out=nondev)
+        np.less_equal(free[c], r_tol, out=nondev)
         np.greater_equal(q1, 0.0, out=interior)
         np.greater_equal(q2, 0.0, out=settled)
         np.logical_and(interior, settled, out=interior)
@@ -416,11 +405,11 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
         np.logical_or(solo2, alone2[c], out=solo2)
         np.logical_and(solo2, rest, out=solo2)
         np.logical_xor(rest, solo2, out=solo1)
-        for solo, q, gain, kx, b, k in ((solo2, q1, gain2, kx2, B2, k2),
-                                        (solo1, q2, gain1, kx1, B1, k1)):
+        for solo, q, gain, kx, b, k in ((solo2, q1, gain2, kx2, b2, k2),
+                                        (solo1, q2, gain1, kx1, b1, k1)):
             if not solo.any():
                 continue
-            np.multiply(2.0 * _block_rows(k, c) * X[c], Rc, out=q)
+            np.multiply(2.0 * k * X[c], R, out=q)
             np.add(gain[c], q, out=q)
             np.divide(q, 2.0 * (b + kx[c]), out=q)
             np.logical_and(solo, q > 0.0, out=solo)  # else the 0.0 written above

@@ -147,6 +147,12 @@ class SimConfig:
             raise ValueError(f"horizon / dt is {steps:.6g} steps, above the "
                              f"budget of {MAX_STEPS} steps")
 
+    @property
+    def time_grid(self) -> tuple[int, int]:
+        """The run's steps and a control interval's: horizon / dt and
+        control_interval / dt, rounded."""
+        return round(self.horizon / self.dt), round(self.control_interval / self.dt)
+
 
 class Sample(NamedTuple):
     t: float
@@ -270,8 +276,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     ``_STEP_TABLE_SIZE`` at once.
     """
     dt = cfg.dt
-    per_control = round(cfg.control_interval / dt)
-    n_steps = round(cfg.horizon / dt)
+    n_steps, per_control = cfg.time_grid
     deadband = 1e-6 * rec.capacity  # a smaller decline reads as growing
 
     events: list[Event] = []
@@ -494,8 +499,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
 
     cfg = cfgs[0]
     dt = cfg.dt
-    per_control = round(cfg.control_interval / dt)
-    n_steps = round(cfg.horizon / dt)
+    n_steps, per_control = cfg.time_grid
     stride = cfg.record_stride
     total = np.zeros(len(live))                # recorded h, added left to right
     first_violation = np.full(len(live), -1)   # step, or -1
@@ -587,7 +591,7 @@ def sweep(build: Callable[[dict], tuple[EconParams, Recruitment, ViabilityBounds
     deterministic and any cell reproduces standalone.
 
     Cells are built ``_SWEEP_BATCH`` at a time and grouped by time grid
-    (``dt``, steps, steps per control interval, record stride).  A group of
+    (``dt``, :attr:`SimConfig.time_grid` and record stride).  A group of
     at least ``_LOCKSTEP_MIN_CELLS`` cells advances in lockstep, as one
     ensemble on the array Nash kernel (:func:`_lockstep`); a smaller group
     runs ``simulate`` cell by cell.  Both give every cell the summary, or the
@@ -602,8 +606,7 @@ def sweep(build: Callable[[dict], tuple[EconParams, Recruitment, ViabilityBounds
         for i, combo in enumerate(batch):
             try:
                 params, rec, bounds, cfg = build(dict(zip(fields, combo)))
-                key = (cfg.dt, round(cfg.horizon / cfg.dt),
-                       round(cfg.control_interval / cfg.dt), cfg.record_stride)
+                key = (cfg.dt, cfg.time_grid, cfg.record_stride)
             except Exception as exc:  # recorded in-grid, sweep continues
                 done[i] = _failed(combo, exc)
                 continue

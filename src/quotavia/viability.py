@@ -18,7 +18,6 @@ import numpy as np
 from .econ import (
     EconParams,
     Recruitment,
-    Regime,
     _require_recommendation,
     _require_stock,
     harvest_curve,
@@ -44,7 +43,6 @@ __all__ = [
     "catch_within_recruitment_flags",
     "PhaseBlock",
     "phase_blocks",
-    "phase_rows",
 ]
 
 _SIGN_TOL = 1e-12
@@ -372,22 +370,3 @@ def phase_blocks(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                                regime_codes(params, x, R, h), sign,
                                region_codes(sign, h, R, bounds.harvest_floor))
         yield block
-
-
-def phase_rows(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
-               xs, rs):
-    """Yield plot-ready grid rows over stock/recommendation rectangles.
-
-    Row: (x, r, h, regime, sign(recruitment - h), unmanaged harvest,
-    stabilizing ceiling, floor recommendation, candidate region), one per
-    point of :func:`phase_blocks`, stock by stock.
-    """
-    regimes, regions = tuple(Regime), tuple(Region)
-    rs = np.asarray(rs, dtype=float).tolist()
-    for block in phase_blocks(params, rec, bounds, xs, rs):
-        for x, unmanaged, ceiling, floor, hs, tags, signs, codes in zip(
-                block.x, block.unmanaged, block.ceiling, block.floor, block.h.tolist(),
-                block.regime.tolist(), block.sign.tolist(), block.region.tolist()):
-            for r, h, tag, sign, code in zip(rs, hs, tags, signs, codes):
-                yield (x, r, h, regimes[tag], sign, unmanaged, ceiling, floor,
-                       regions[code])

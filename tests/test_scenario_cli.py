@@ -25,7 +25,8 @@ from quotavia import (
     total_harvest,
     unmanaged_harvest,
 )
-from quotavia.cli import _PHASE_ROW, _parse_grid, main
+from quotavia import cli
+from quotavia.cli import _parse_grid, main
 from quotavia.viability import _SIGN_TOL
 
 EXPECTED_HEADER = "t,x,r,h,q1,q2,regime,region,maturity,viable_eco,viable_econ"
@@ -342,6 +343,22 @@ class TestPhaseCommand:
         for name, digest in PHASE_DIGESTS.items():
             assert sha256_of(tmp_path / name) == digest, name
 
+    def test_rows_stream_through_module_phase_rows(self, canonical_scenario_path,
+                                                   tmp_path, monkeypatch):
+        # phase looks phase_rows up at call time, so a wrapper around the
+        # module name (as a tracer installs) sees every row it writes
+        produce, rows = cli.phase_rows, []
+
+        def counting(*args):
+            for row in produce(*args):
+                rows.append(row)
+                yield row
+        monkeypatch.setattr(cli, "phase_rows", counting)
+        assert main(["phase", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--grid", "0.1:2:0:1.5:200:200"]) == 0
+        assert len(rows) == 200 * 200
+        assert sha256_of(tmp_path / "phase_grid.csv") == PHASE_DIGESTS["phase_grid.csv"]
+
     def test_degenerate_rectangle_rejected(self, canonical_scenario_path, tmp_path, capsys):
         assert main(["phase", "--config", canonical_scenario_path,
                      "--out", str(tmp_path), "--grid", "2.0:1.0:0.0:1.0:5:5"]) == 1
@@ -386,6 +403,10 @@ def _phase_lines(cfg: ScenarioConfig, grid: str) -> list[str]:
             assert main(["phase", "--config", path, "--out", out, "--grid", grid]) == 0
         with open(os.path.join(out, "phase_grid.csv"), encoding="utf-8") as handle:
             return handle.readlines()[1:]
+
+
+# a phase_grid.csv row: "%.17g" % v == f"{v:.17g}" for every float
+_PHASE_ROW = "%.17g,%.17g,%.17g,%s,%d,%.17g,%.17g,%.17g,%s\n"
 
 
 def _scalar_phase_lines(cfg: ScenarioConfig, grid: str):
@@ -759,6 +780,51 @@ def test_phase_stock_whose_weighted_product_underflows_is_usage_error(canonical,
     assert err.startswith("error: --grid: XMIN ") and "underflows to 0" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+class TestStockFloorWeightUnderflow:
+    """Deviation costs of 1e-10 times a stock floor of 1e-315 underflow to
+    0, and the viability check divides by that product."""
+
+    @pytest.fixture()
+    def tiny(self, canonical, tmp_path):
+        path = tmp_path / "tiny.ini"
+        path.write_text(canonical.to_text().replace("kappa_1 = 1.0", "kappa_1 = 1e-10")
+                        .replace("kappa_2 = 1.0", "kappa_2 = 1e-10")
+                        .replace("stock_floor = 1.0", "stock_floor = 1e-315"))
+        return path
+
+    @pytest.mark.parametrize("command, strategy", [
+        ("check", "conservative"),
+        ("simulate", "conservative"),
+        ("simulate", "ichthyocentric"),
+        ("simulate", "qualitative"),
+    ])
+    def test_check_and_simulate_exit_one(self, tiny, tmp_path, capsys, command, strategy):
+        tiny.write_text(tiny.read_text().replace("name = conservative", f"name = {strategy}"))
+        out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        assert main([command, "--config", str(tiny), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [bounds] stock_floor: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_phase_runs(self, tiny, tmp_path, capsys):
+        assert main(["phase", "--config", str(tiny), "--out", str(tmp_path),
+                     "--grid", "0.1:2:0:1.5:5:5"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_cell_is_config_error(self, canonical_scenario_path, tmp_path):
+        axes = ("econ.kappa_1=1e-10:1e-10:1,econ.kappa_2=1e-10:1e-10:1,"
+                "bounds.stock_floor=1|1e-315,simulation.horizon=1:1:1")
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", axes]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["violated", "error: ConfigError"]
+        (error,) = json.loads((tmp_path / "sweep_errors.json").read_text())
+        assert error["cell"] == 1
+        assert error["error"].startswith("ConfigError: [bounds] stock_floor: ")
 
 
 def test_usage_error_exits_one(capsys):

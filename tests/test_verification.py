@@ -104,7 +104,9 @@ def test_harvest_curve_matches_scalar_solve():
             _assert_regimes_match(params, xs, rs, grid)
 
 
-@pytest.mark.parametrize("points", [1, 192, (1 << 14) + 5])   # one row block, and two
+# a pointwise call is one block at any size, past a grid block's 1 << 14
+# points too
+@pytest.mark.parametrize("points", [1, 192, (1 << 14) + 5])
 def test_harvest_curve_pointwise_matches_scalar_solve(points):
     # per-point parameters, one fishery in seven unmanaged, stocks from
     # 1e-320 to 1e308 and recommendations with NaN, 0 and inf among them
@@ -123,6 +125,11 @@ def test_harvest_curve_pointwise_matches_scalar_solve(points):
               for i in range(points)]
     assert h.shape == (points,)
     assert h.tobytes() == np.array(scalar).tobytes()
+
+
+def test_harvest_curve_pointwise_without_points():
+    params = EconParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
+    assert harvest_curve(params, [], [], pointwise=True).shape == (0,)
 
 
 @pytest.mark.parametrize("rows, cols", [

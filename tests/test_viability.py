@@ -11,6 +11,7 @@ from quotavia import (
     CaseOrder,
     EconParams,
     Recruitment,
+    Regime,
     Region,
     ViabilityBounds,
     catch_within_recruitment_flags,
@@ -24,7 +25,7 @@ from quotavia import (
     unmanaged_harvest,
 )
 from quotavia.econ import binding_harvest
-from quotavia.viability import phase_blocks, phase_rows
+from quotavia.viability import phase_blocks
 
 
 def test_bounds_validation():
@@ -234,22 +235,22 @@ class TestBiconditionalFlags:
             == (True, True)
 
 
-def test_phase_rows_stationary_point(symmetric_params, logistic, floors):
-    rows = list(phase_rows(symmetric_params, logistic, floors, [1.0], [0.25]))
-    assert len(rows) == 1
-    x, r, h, regime, sign, unmanaged, ceiling, floor, region = rows[0]
-    assert h == pytest.approx(0.5)
-    assert sign == 0
-    assert unmanaged == pytest.approx(1.0)
-    assert ceiling == pytest.approx(0.25)
-    assert floor == pytest.approx(0.1)
+def test_phase_blocks_stationary_point(symmetric_params, logistic, floors):
+    (block,) = phase_blocks(symmetric_params, logistic, floors, [1.0], [0.25])
+    assert block.x == [1.0]
+    assert block.h.shape == block.sign.shape == (1, 1)
+    assert block.h[0, 0] == pytest.approx(0.5)
+    assert block.sign[0, 0] == 0
+    assert block.unmanaged[0] == pytest.approx(1.0)
+    assert block.ceiling[0] == pytest.approx(0.25)
+    assert block.floor[0] == pytest.approx(0.1)
 
 
-def test_phase_rows_unprofitable_zone(symmetric_params, logistic, floors):
-    rows = list(phase_rows(symmetric_params, logistic, floors, [0.3], [0.5, 1.0]))
-    for row in rows:
-        assert row[2] == 0.0
-        assert row[3].value == "shutdown_unprofitable"
+def test_phase_blocks_unprofitable_zone(symmetric_params, logistic, floors):
+    (block,) = phase_blocks(symmetric_params, logistic, floors, [0.3], [0.5, 1.0])
+    assert block.h.tolist() == [[0.0, 0.0]]
+    assert [list(Regime)[code] for code in block.regime.ravel().tolist()] \
+        == [Regime.SHUTDOWN_UNPROFITABLE] * 2
 
 
 @pytest.mark.parametrize("xs, rs, kappas", [
@@ -263,5 +264,3 @@ def test_phase_blocks_check_inputs(logistic, floors, xs, rs, kappas):
     params = EconParams(1.0, 1.0, 1.0, 1.0, *kappas, 2.0)
     with pytest.raises(ValueError):
         list(phase_blocks(params, logistic, floors, xs, rs))
-    with pytest.raises(ValueError):
-        list(phase_rows(params, logistic, floors, xs, rs))
