@@ -59,7 +59,12 @@ Measured, one process, one thread:
   192-cell grid (``perfbench/workloads.py``, seed 1);
 * ``sweep_ns_per_cell_step``: ``engine.sweep`` on that grid with every
   cell's inputs built beforehand, so that ``ScenarioConfig.with_overrides``
-  stays outside the timing, per cell and RK4 step (192 cells of 200 steps).
+  stays outside the timing, per cell and RK4 step (192 cells of 200 steps);
+* ``long_sweep_ns_per_cell_step``: the same on a longer lockstep, the
+  benchmark's axes with 14 prices and 14 stocks at horizon 20 (588 cells
+  of 2,000 steps), where the ensemble's fixed cost per step weighs less
+  and a cell can settle; the benchmark's own sweep is too short to show
+  either.
 
 This is a tool for before/after numbers, not a test; nothing in it checks
 the outputs (``perfbench/run.py`` does).
@@ -94,6 +99,8 @@ PHASE_GRID = "0.1:2:0:1.5:200:200"
 SWEEP_SEED = 1
 NASH_GRID = 100
 UNSETTLED_HORIZON = 40.0
+LONG_SWEEP_DRAWS = 14
+LONG_SWEEP_HORIZON = 20.0
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -151,10 +158,14 @@ def captured(module, names: tuple[str, ...], run) -> dict[str, list[tuple]]:
     return calls
 
 
-def sweep_axes(root: str) -> str:
-    sweep = workloads.Sweep(root, SWEEP_SEED, out_dir="")
+def sweep_axes(root: str, draws: int = workloads.SWEEP_DRAWS,
+               horizon: float = workloads.SWEEP_HORIZON) -> str:
+    """The benchmark sweep's axes (seed 1) with ``draws`` prices and
+    stocks, at ``horizon``."""
+    sweep = workloads.Sweep(root, SWEEP_SEED, out_dir="", draws=draws)
     sweep.setup()
-    return sweep.axes
+    *axes, _ = sweep.axes.split(",")    # the horizon is the last axis
+    return ",".join([*axes, f"simulation.horizon={horizon!r}:{horizon!r}:1"])
 
 
 def prebuilt_sweep(cli, cfg, axes: str):
@@ -168,7 +179,7 @@ def prebuilt_sweep(cli, cfg, axes: str):
         try:
             built[combo] = inputs = cli._simulation_inputs(
                 cfg.with_overrides(dict(zip(fields, combo))))
-            steps += round(inputs[3].horizon / inputs[3].dt)
+            steps += inputs[3].time_grid[0]
         except Exception as exc:
             built[combo] = exc
 
@@ -216,10 +227,12 @@ def measure(root: str, repeat: int) -> dict:
         def simulation(name: str, path: str, overrides: dict | None = None):
             params, rec, bounds, sim = ScenarioConfig.from_file(path).with_overrides(
                 overrides or {}).build()
-            return (f"simulate_ns_per_step_{name}", "ns", round(sim.horizon / sim.dt),
+            return (f"simulate_ns_per_step_{name}", "ns", sim.time_grid[0],
                     lambda: simulate(params, rec, bounds, sim))
 
         build, axes, cell_steps = prebuilt_sweep(cli, cfg, sweep_axes(root))
+        long_build, long_axes, long_steps = prebuilt_sweep(
+            cli, cfg, sweep_axes(root, LONG_SWEEP_DRAWS, LONG_SWEEP_HORIZON))
         calls = captured(engine, ("_rk4", "qualitative_step"),
                          lambda: simulate(*ScenarioConfig.from_file(crisis).build()))
         rk4, decide = engine._rk4, engine.qualitative_step
@@ -256,6 +269,8 @@ def measure(root: str, repeat: int) -> dict:
              lambda axes=sweep_axes(root): cli_main(["sweep", "--config", canonical,
                                                      "--out", out, "--axes", axes])),
             ("sweep_ns_per_cell_step", "ns", cell_steps, lambda: engine.sweep(build, axes)),
+            ("long_sweep_ns_per_cell_step", "ns", long_steps,
+             lambda: engine.sweep(long_build, long_axes)),
         ]
         prepare = {"decision_ns_per_call": copy_states}
         for name, *_, call in layers:   # one untimed round: lazy imports, caches

@@ -21,7 +21,7 @@ from .econ import Regime
 from .engine import simulate, summarize, sweep
 from .scenario import ConfigError, ScenarioConfig
 from .verification import DEFAULT_SEED, run_all
-from .viability import Region, check_viability_domain, critical_levels, phase_blocks
+from .viability import LEVELS_BRACKET, Region, check_viability_domain, critical_levels, phase_blocks
 
 __all__ = ["main"]
 
@@ -82,8 +82,16 @@ def _require_deviation_costs(cfg: ScenarioConfig, user: str) -> None:
 
 def _require_weighted(econ, x: float, where: str, error=ConfigError) -> None:
     """The threshold curves divide by the deviation weight times the stock."""
-    if (econ.beta_1 * econ.kappa_2 + econ.beta_2 * econ.kappa_1) * x == 0.0:
+    if econ.weight * x == 0.0:
         raise error(f"{where} {x!r} times beta_1 * kappa_2 + beta_2 * kappa_1 underflows to 0")
+
+
+def _require_levels(cfg: ScenarioConfig, user: str) -> None:
+    """``check`` and ``phase`` bracket critical levels from LEVELS_BRACKET of the capacity."""
+    _require_deviation_costs(cfg, user)
+    cap = cfg.recruitment.capacity
+    _require_weighted(cfg.econ, cap * LEVELS_BRACKET,
+                      f"[recruitment] capacity: {cap!r} * {LEVELS_BRACKET!r} =")
 
 
 def _simulation_inputs(cfg: ScenarioConfig):
@@ -96,7 +104,7 @@ def _simulation_inputs(cfg: ScenarioConfig):
 
 def _cmd_check(args) -> int:
     cfg = _load(args.config)
-    _require_deviation_costs(cfg, "check")
+    _require_levels(cfg, "check")
     _require_weighted(cfg.econ, cfg.bounds.stock_floor, "[bounds] stock_floor:")
     verdict = check_viability_domain(cfg.econ, cfg.recruitment, cfg.bounds)
     ok = verdict.conditions
@@ -186,7 +194,7 @@ def phase_rows(params, rec, bounds, xs: list[float], rs: list[float]):
 
 def _cmd_phase(args) -> int:
     cfg = _load(args.config)
-    _require_deviation_costs(cfg, "phase")
+    _require_levels(cfg, "phase")
     xs, rs = _parse_grid(args.grid)
     _require_weighted(cfg.econ, xs[0], "--grid: XMIN", _UsageError)
     os.makedirs(args.out, exist_ok=True)

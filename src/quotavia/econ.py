@@ -15,7 +15,7 @@ used on large grids), with the regime tags of an array of points beside it
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -75,6 +75,10 @@ class EconParams:
     ``kappa_i`` weighs the quadratic cost a group incurs when the agreed
     total exceeds the recommendation; ``kappa_1 = kappa_2 = 0`` encodes a
     fishery without management.  ``price`` is the exogenous market price.
+    Derived once, not settable and ignored by ``==``, ``hash`` and ``repr``:
+    ``weight = beta_1 * kappa_2 + beta_2 * kappa_1`` (the deviation weight),
+    ``beta_product = beta_1 * beta_2``, ``cost_term = 0.5 * (alpha_1 * beta_2
+    + alpha_2 * beta_1)`` and ``price_term = 0.5 * (beta_1 + beta_2) * price``.
     """
 
     alpha_1: float
@@ -84,6 +88,10 @@ class EconParams:
     kappa_1: float
     kappa_2: float
     price: float
+    weight: float = field(init=False, repr=False, compare=False)
+    beta_product: float = field(init=False, repr=False, compare=False)
+    cost_term: float = field(init=False, repr=False, compare=False)
+    price_term: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("alpha_1", "alpha_2", "beta_1", "beta_2", "price"):
@@ -92,12 +100,16 @@ class EconParams:
         for name in ("kappa_1", "kappa_2"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        b1, b2 = self.beta_1, self.beta_2   # the terms are set past the frozen __setattr__
+        object.__setattr__(self, "weight", b1 * self.kappa_2 + b2 * self.kappa_1)
+        object.__setattr__(self, "beta_product", b1 * b2)
+        object.__setattr__(self, "cost_term", 0.5 * (self.alpha_1 * b2 + self.alpha_2 * b1))
+        object.__setattr__(self, "price_term", 0.5 * (b1 + b2) * self.price)
         # the negotiation divides by both products: each must be a normal
         # float, so that a managed fishery never computes like an unmanaged one
-        b1, b2 = self.beta_1, self.beta_2
-        if not b1 * b2 >= sys.float_info.min:
+        if not self.beta_product >= sys.float_info.min:
             raise ValueError("beta_1 * beta_2 must be a normal float")
-        if not (self.unmanaged or b1 * self.kappa_2 + b2 * self.kappa_1 >= sys.float_info.min):
+        if not (self.unmanaged or self.weight >= sys.float_info.min):
             raise ValueError("beta_1 * kappa_2 + beta_2 * kappa_1 must be a normal "
                              "float unless both kappas are 0")
 
@@ -170,9 +182,7 @@ def unmanaged_harvest(params: EconParams, x: float) -> float:
     fishing is unprofitable at this stock level even without management.
     """
     _require_stock(x)
-    b1, b2 = params.beta_1, params.beta_2
-    return ((0.5 * (b1 + b2) * params.price * x
-             - 0.5 * (params.alpha_1 * b2 + params.alpha_2 * b1)) / (b1 * b2))
+    return (params.price_term * x - params.cost_term) / params.beta_product
 
 
 def realized_unmanaged_harvest(params: EconParams, x: float) -> float:
@@ -198,10 +208,8 @@ def binding_harvest(params: EconParams, x: float, r: float) -> float:
     _require_recommendation(r)
     if params.unmanaged:
         raise ValueError("binding harvest undefined without deviation costs")
-    b1, b2 = params.beta_1, params.beta_2
-    wx = (b1 * params.kappa_2 + b2 * params.kappa_1) * x
-    return ((0.5 * (b1 + b2) * params.price * x + wx * r
-             - 0.5 * (params.alpha_1 * b2 + params.alpha_2 * b1)) / (b1 * b2 + wx))
+    wx = params.weight * x
+    return (params.price_term * x + wx * r - params.cost_term) / (params.beta_product + wx)
 
 
 def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, float, Regime]:
@@ -223,7 +231,7 @@ def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, f
     free1 = opt1 if opt1 > 0.0 else 0.0
     free2 = opt2 if opt2 > 0.0 else 0.0
     free = free1 + free2
-    w = b1 * k2 + b2 * k1
+    w = params.weight
 
     if w == 0.0 or free <= r + BOUNDARY_TOL:
         if free <= BOUNDARY_TOL:
@@ -233,7 +241,7 @@ def _nash_point(params: EconParams, x: float, r: float) -> tuple[float, float, f
     # The agreed total will exceed r, so deviation costs shape the outcome.
     if opt1 >= 0.0 and opt2 >= 0.0:
         wx = w * x
-        h = (0.5 * (b2 * gain1 + b1 * gain2) + wx * r) / (b1 * b2 + wx)
+        h = (0.5 * (b2 * gain1 + b1 * gain2) + wx * r) / (params.beta_product + wx)
         excess = h - r
         q1 = opt1 - k1 * x * excess / b1
         q2 = opt2 - k2 * x * excess / b2
@@ -319,9 +327,9 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
     Two call shapes run the one body.  On a grid (the default) the result
     is ``h[i, j]`` at stock ``x_values[i]`` and recommendation
     ``r_values[j]``.  With ``pointwise`` the two are paired, ``h[i]`` at
-    ``x_values[i]`` and ``r_values[i]``, and any field of ``params`` may be
-    an ``(n, 1)`` column of per-point values instead of a float: one
-    lockstep step of an ensemble of fisheries (``engine.sweep``).
+    ``x_values[i]`` and ``r_values[i]``, and ``params`` may hold, for each
+    entry of ``dataclasses.fields(EconParams)``, an ``(n, 1)`` column of
+    per-point values: one lockstep step of an ensemble (``engine.sweep``).
 
     Runs the same branches with the same operations, so every point equals
     the scalar solve bit for bit.  The scalar form stays for point-by-point
@@ -342,13 +350,12 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
     gain1, gain2, opt1, opt2, free = _free_catch(params, X)
     # as in _nash_point, a free catch <= BOUNDARY_TOL lands 0
     landed = np.where(free > BOUNDARY_TOL, free, 0.0)
-    w = b1 * k2 + b2 * k1
     # without deviation costs every point is non-deviating; free is never
     # NaN, so an infinite tolerance marks exactly those points
-    r_tol = np.where(w == 0.0, np.inf, R + BOUNDARY_TOL)
-    wx = w * X
+    r_tol = np.where(params.weight == 0.0, np.inf, R + BOUNDARY_TOL)
+    wx = params.weight * X
     num = 0.5 * (b2 * gain1 + b1 * gain2)
-    den = b1 * b2 + wx
+    den = params.beta_product + wx
     kx1 = k1 * X
     kx2 = k2 * X
     both = (opt1 >= 0.0) & (opt2 >= 0.0)
@@ -422,19 +429,18 @@ def regime_codes(params: EconParams, x_values, r_values, h, *,
     """Regime tag of each point of :func:`harvest_curve`, as its index in
     ``Regime`` (0 for ``BINDING`` up to 3 for ``SHUTDOWN_RESTRICTED``).
 
-    Takes the same axes and call shape as :func:`harvest_curve`, and ``h``,
-    its result on them, and tags each point as :func:`_nash_point` does: a
-    non-deviating point is ``NON_BINDING`` if its free catch lands above
-    ``BOUNDARY_TOL``, else ``SHUTDOWN_UNPROFITABLE``; any other point is
-    ``BINDING`` if ``h`` is above ``BOUNDARY_TOL``, else
-    ``SHUTDOWN_RESTRICTED`` if its free catch is, else
-    ``SHUTDOWN_UNPROFITABLE``.
+    Takes the same axes, call shape and ``params`` (pointwise, a column per
+    entry of ``dataclasses.fields(EconParams)``) as :func:`harvest_curve`,
+    and ``h``, its result on them, and tags each point as :func:`_nash_point`
+    does: a non-deviating point is ``NON_BINDING`` if its free catch lands
+    above ``BOUNDARY_TOL``, else ``SHUTDOWN_UNPROFITABLE``; any other point
+    is ``BINDING`` if ``h`` is above ``BOUNDARY_TOL``, else
+    ``SHUTDOWN_RESTRICTED`` if its free catch is, else ``SHUTDOWN_UNPROFITABLE``.
     """
     X, R = _axes(x_values, r_values, pointwise)
     free = _free_catch(params, X)[-1]
     profitable = free > BOUNDARY_TOL
-    w = params.beta_1 * params.kappa_2 + params.beta_2 * params.kappa_1
-    nondev = (w == 0.0) | (free <= R + BOUNDARY_TOL)
+    nondev = (params.weight == 0.0) | (free <= R + BOUNDARY_TOL)
     shut = np.where(profitable, 3, 2)       # restricted, unprofitable
     codes = np.where(np.asarray(h).reshape(nondev.shape) > BOUNDARY_TOL, 0, shut)
     codes = np.where(nondev, np.where(profitable, 1, 2), codes)

@@ -472,13 +472,6 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     def column(values) -> np.ndarray:
         return np.fromiter(values, dtype=float, count=len(live))
 
-    def floor_terms(p: EconParams, strategy) -> tuple[float, float, float, float]:
-        # the terms of viability._binding_recommendation that x leaves alone
-        b1, b2 = p.beta_1, p.beta_2
-        w = b1 * p.kappa_2 + b2 * p.kappa_1
-        offset = 0.5 * (b1 + b2) * p.price / w if strategy is CONSERVATIVE else 0.0
-        return w, b1 * b2, 0.5 * (p.alpha_1 * b2 + p.alpha_2 * b1), offset
-
     params = SimpleNamespace(**{f.name: column(getattr(p, f.name) for p in econs).reshape(-1, 1)
                                 for f in fields(EconParams)})
     growth = column(r.growth for r in recs)
@@ -488,8 +481,10 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     stock_line = column(b.stock_floor - _VIABILITY_TOL for b in floors)
     harvest_line = column(b.harvest_floor - _VIABILITY_TOL for b in floors)
     x = column(c.initial_stock for c in cfgs)
+    # the floor recommendation's terms, 1-D as x is, not (n, 1) columns
+    w, wb, wa, wp = (params.weight[:, 0], params.beta_product[:, 0],
+                     params.cost_term[:, 0], params.price_term[:, 0])
     strategy = [state.settings.strategy for state in states]
-    w, wb, wa, offset = np.array([floor_terms(p, s) for p, s in zip(econs, strategy)], dtype=float).T
     ichthyocentric, conservative = (np.array([s is member for s in strategy])
                                     for member in (ICHTHYOCENTRIC, CONSERVATIVE))
     ruled = [j for j, s in enumerate(strategy) if s is QUALITATIVE]   # on the rule table
@@ -514,7 +509,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
             np.copyto(r, np.where(0.0 > g, 0.0, g), where=ichthyocentric)
         if conservative.any():
             wx = w * x
-            floor = (harvest_floor * (wx + wb) + wa) / wx - offset
+            floor = (harvest_floor * (wx + wb) + wa) / wx - wp / w   # masked where w is 0
             np.copyto(r, np.where(0.0 > floor, 0.0, floor), where=conservative)
             for j in np.flatnonzero(conservative & ~dead & ~((x > 0.0) & (wx != 0.0))):
                 try:

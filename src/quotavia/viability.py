@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _SIGN_TOL = 1e-12
+LEVELS_BRACKET = 1e-12   # critical_levels brackets its roots from this fraction of the capacity
 
 # Grid points per block of phase_blocks.  A block's arrays, their lists and
 # one row's formatted lines then take about 1 MB; blocks four times as large
@@ -142,11 +143,9 @@ def _binding_recommendation(params: EconParams, x: float, h: float) -> float:
     _require_stock(x)
     if params.unmanaged:
         raise ValueError("threshold curves undefined without deviation costs")
-    b1, b2 = params.beta_1, params.beta_2
-    w = b1 * params.kappa_2 + b2 * params.kappa_1
-    wx = w * x
-    return ((h * (wx + b1 * b2) + 0.5 * (params.alpha_1 * b2 + params.alpha_2 * b1)) / wx
-            - 0.5 * (b1 + b2) * params.price / w)
+    wx = params.weight * x
+    return ((h * (wx + params.beta_product) + params.cost_term) / wx
+            - params.price_term / params.weight)
 
 
 def recommendation_ceiling(params: EconParams, rec: Recruitment, x: float) -> float:
@@ -209,7 +208,7 @@ def critical_levels(params: EconParams, rec: Recruitment,
     ``None`` rather than being silently filled in.
     """
     cap = 4.0 * rec.capacity
-    tiny = rec.capacity * 1e-12
+    tiny = rec.capacity * LEVELS_BRACKET
 
     def floor_minus_unmanaged(x: float) -> float:
         return recommendation_floor(params, bounds, x) - unmanaged_harvest(params, x)

@@ -1,8 +1,11 @@
 """Closed-form negotiation: frozen examples, regime dispatch, invariants."""
 
+import dataclasses
 import hashlib
 import math
 import random
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +41,43 @@ def test_econ_params_validation():
     with pytest.raises(ValueError):
         EconParams(1, 1, 1, 1, 1, 1, 0)
     assert EconParams(1, 1, 1, 1, 0, 0, 2).unmanaged
+
+
+# EconParams's derived terms, as formulas of its seven fields in their order
+_TERMS = {
+    "weight": lambda a1, a2, b1, b2, k1, k2, p: b1 * k2 + b2 * k1,
+    "beta_product": lambda a1, a2, b1, b2, k1, k2, p: b1 * b2,
+    "cost_term": lambda a1, a2, b1, b2, k1, k2, p: 0.5 * (a1 * b2 + a2 * b1),
+    "price_term": lambda a1, a2, b1, b2, k1, k2, p: 0.5 * (b1 + b2) * p,
+}
+_FIELDS = ("alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price")
+
+
+@pytest.mark.parametrize("values", [
+    (0.3, 0.7, 1.1, 0.9, 2.3, 0.6, 1.7),
+    (3, 1, 2, 5, 7, 0, 3),
+    tuple(map(np.float64, (0.3, 0.7, 1.1, 0.9, 2.3, 0.6, 1.7))),
+], ids=["float", "int", "float64"])
+def test_econ_params_derives_its_terms(values):
+    def assert_terms(params, values):
+        for name, term in _TERMS.items():
+            assert struct.pack("<d", getattr(params, name)) == struct.pack("<d", term(*values))
+
+    params = EconParams(*values)
+    assert_terms(params, values)
+    # ScenarioConfig.with_overrides replaces a field with dataclasses.replace
+    for i, name in enumerate(_FIELDS):
+        moved = values[:i] + (values[i] * 1.3,) + values[i + 1:]
+        assert_terms(dataclasses.replace(params, **{name: moved[i]}), moved)
+    # the terms take no part in ==, hash or repr, and cannot be set
+    twin = EconParams(*values)
+    for name in _TERMS:
+        object.__setattr__(twin, name, -1.0)
+    assert twin == params and hash(twin) == hash(params) and repr(twin) == repr(params)
+    assert "weight" not in repr(params)
+    for name in _TERMS:
+        with pytest.raises(TypeError):
+            EconParams(*values, **{name: 1.0})
 
 
 @pytest.mark.parametrize("betas, kappas, match", [
@@ -243,10 +283,9 @@ def test_regime_codes_match_nash_point_on_pinned_draw():
     # each point its own fishery, as parameter columns; one in ten unmanaged,
     # where every point is non-deviating
     points = _nash_grid()
-    fields = ("alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price")
-    params = type("Columns", (), {
-        name: np.array([getattr(p, name) for p, _, _ in points]).reshape(-1, 1)
-        for name in fields})
+    params = SimpleNamespace(**{
+        f.name: np.array([getattr(p, f.name) for p, _, _ in points]).reshape(-1, 1)
+        for f in dataclasses.fields(EconParams)})
     xs = [x for _, x, _ in points]
     rs = [r for _, _, r in points]
     h = harvest_curve(params, xs, rs, pointwise=True)

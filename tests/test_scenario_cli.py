@@ -782,6 +782,34 @@ def test_phase_stock_whose_weighted_product_underflows_is_usage_error(canonical,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["check", "phase"])
+@pytest.mark.parametrize("scenario, edits", [
+    ("canonical", {"growth = 1.0": "growth = 1e154", "capacity = 2.0": "capacity = 1e-320",
+                   "kappa_1 = 1.0": "kappa_1 = 3"}),
+    ("crisis", {"beta_2 = 1.0": "beta_2 = 5e-308", "capacity = 2.0": "capacity = 1e-200",
+                "kappa_2 = 1.0": "kappa_2 = 0"}),
+], ids=["bracket-underflows", "weighted-bracket-underflows"])
+def test_critical_levels_bracket_that_underflows_is_config_error(request, tmp_path, capsys,
+                                                                 command, scenario, edits):
+    # critical_levels brackets from LEVELS_BRACKET of the capacity, where the
+    # threshold curves divide by (beta_1 * kappa_2 + beta_2 * kappa_1) * x
+    with open(request.getfixturevalue(f"{scenario}_scenario_path"), encoding="utf-8") as handle:
+        text = handle.read()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "small.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    grid = ["--out", str(out), "--grid", "0.1:2:0:1:5:5"] if command == "phase" else []
+    assert main([command, "--config", str(path), *grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: [recruitment] capacity: ")
+    assert "underflows to 0" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestStockFloorWeightUnderflow:
     """Deviation costs of 1e-10 times a stock floor of 1e-315 underflow to
     0, and the viability check divides by that product."""

@@ -1,6 +1,8 @@
 """Reduced-scale runs of the randomized cross-verification suites."""
 
+import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,18 +113,19 @@ def test_harvest_curve_pointwise_matches_scalar_solve(points):
     # per-point parameters, one fishery in seven unmanaged, stocks from
     # 1e-320 to 1e308 and recommendations with NaN, 0 and inf among them
     rng = np.random.default_rng(points)
-    fields = ("alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price")
-    columns = np.exp(rng.uniform(np.log(0.05), np.log(20.0), (7, points)))
-    columns[4:6, rng.integers(0, 7, points) == 0] = 0.0
+    draws = np.exp(rng.uniform(np.log(0.05), np.log(20.0), (7, points)))
+    draws[4:6, rng.integers(0, 7, points) == 0] = 0.0
     xs = np.exp(rng.uniform(np.log(1e-320), np.log(1e308), points))
     xs[::5] = rng.uniform(0.1, 10.0, xs[::5].size)
     rs = rng.uniform(0.0, 6.0, points)
     rs[1::7], rs[2::11], rs[3::13] = np.nan, 0.0, np.inf
-    params = type("Columns", (), dict(zip(fields, (c.reshape(-1, 1) for c in columns))))
+    fisheries = [EconParams(*map(float, draws[:, i])) for i in range(points)]
+    params = SimpleNamespace(**{
+        f.name: np.array([getattr(p, f.name) for p in fisheries]).reshape(-1, 1)
+        for f in dataclasses.fields(EconParams)})
     with np.errstate(all="ignore"):
         h = harvest_curve(params, xs, rs, pointwise=True)
-    scalar = [_nash_point(EconParams(*map(float, columns[:, i])), float(xs[i]), float(rs[i]))[2]
-              for i in range(points)]
+    scalar = [_nash_point(p, float(x), float(r))[2] for p, x, r in zip(fisheries, xs, rs)]
     assert h.shape == (points,)
     assert h.tobytes() == np.array(scalar).tobytes()
 
