@@ -57,6 +57,10 @@ Measured, one process, one thread:
 * ``phase_200x200_s``: the whole ``phase`` command on that grid;
 * ``sweep_192_s``: the whole ``sweep`` command on the benchmark's
   192-cell grid (``perfbench/workloads.py``, seed 1);
+* ``override_ns_per_cell``: ``ScenarioConfig.with_overrides`` on each of
+  that grid's 192 override dicts, as the ``sweep`` command calls it on the
+  canonical scenario, per cell (the sweep's fixed cost per cell of building
+  its scenario);
 * ``sweep_ns_per_cell_step``: ``engine.sweep`` on that grid with every
   cell's inputs built beforehand, so that ``ScenarioConfig.with_overrides``
   stays outside the timing, per cell and RK4 step (192 cells of 200 steps);
@@ -231,6 +235,14 @@ def measure(root: str, repeat: int) -> dict:
                     lambda: simulate(params, rec, bounds, sim))
 
         build, axes, cell_steps = prebuilt_sweep(cli, cfg, sweep_axes(root))
+        fields = [field for field, _ in axes]
+        cells = [dict(zip(fields, combo))
+                 for combo in itertools.product(*(values for _, values in axes))]
+
+        def overrides():
+            for cell in cells:
+                cfg.with_overrides(cell)
+
         long_build, long_axes, long_steps = prebuilt_sweep(
             cli, cfg, sweep_axes(root, LONG_SWEEP_DRAWS, LONG_SWEEP_HORIZON))
         calls = captured(engine, ("_rk4", "qualitative_step"),
@@ -268,6 +280,7 @@ def measure(root: str, repeat: int) -> dict:
             ("sweep_192_s", "s", 1,
              lambda axes=sweep_axes(root): cli_main(["sweep", "--config", canonical,
                                                      "--out", out, "--axes", axes])),
+            ("override_ns_per_cell", "ns", len(cells), overrides),
             ("sweep_ns_per_cell_step", "ns", cell_steps, lambda: engine.sweep(build, axes)),
             ("long_sweep_ns_per_cell_step", "ns", long_steps,
              lambda: engine.sweep(long_build, long_axes)),

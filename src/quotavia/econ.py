@@ -8,12 +8,13 @@ closed-form evaluation of that game's unique Nash equilibrium under
 non-negative quotas, plus the elementary ingredients (recruitment, profit)
 it is built from.  The equilibrium has one scalar solve (``_nash_point``,
 used in the simulation loop) and one array form of it (``harvest_curve``,
-used on large grids), with the regime tags of an array of points beside it
+used on large grids), with the regime tags of a grid of points beside it
 (``regime_codes``).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -94,6 +95,9 @@ class EconParams:
     price_term: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("alpha_1", "alpha_2", "beta_1", "beta_2", "price"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -312,14 +316,6 @@ def _free_catch(params: EconParams, X: np.ndarray):
     return gain1, gain2, opt1, opt2, free
 
 
-def _axes(x_values, r_values, pointwise: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Stocks as a column and recommendations as a row of a grid, or both
-    as columns when they are paired point by point."""
-    X = np.asarray(x_values, dtype=float).reshape(-1, 1)
-    R = np.asarray(r_values, dtype=float).reshape((-1, 1) if pointwise else (1, -1))
-    return X, R
-
-
 def harvest_curve(params: EconParams, x_values, r_values, *,
                   pointwise: bool = False) -> np.ndarray:
     """Negotiated total harvest: the array form of :func:`_nash_point`.
@@ -344,7 +340,8 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
     non-deviating points overwrite it, and the single-group branches are
     built only for a block that has a point in neither of those two.
     """
-    X, R = _axes(x_values, r_values, pointwise)
+    X = np.asarray(x_values, dtype=float).reshape(-1, 1)
+    R = np.asarray(r_values, dtype=float).reshape((-1, 1) if pointwise else (1, -1))
     b1, b2 = params.beta_1, params.beta_2
     k1, k2 = params.kappa_1, params.kappa_2
     gain1, gain2, opt1, opt2, free = _free_catch(params, X)
@@ -424,27 +421,25 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
     return out.reshape(-1) if pointwise else out
 
 
-def regime_codes(params: EconParams, x_values, r_values, h, *,
-                 pointwise: bool = False) -> np.ndarray:
-    """Regime tag of each point of :func:`harvest_curve`, as its index in
-    ``Regime`` (0 for ``BINDING`` up to 3 for ``SHUTDOWN_RESTRICTED``).
+def regime_codes(params: EconParams, x_values, r_values, h) -> np.ndarray:
+    """Regime tag of each point of :func:`harvest_curve`'s grid, as its index
+    in ``Regime`` (0 for ``BINDING`` up to 3 for ``SHUTDOWN_RESTRICTED``).
 
-    Takes the same axes, call shape and ``params`` (pointwise, a column per
-    entry of ``dataclasses.fields(EconParams)``) as :func:`harvest_curve`,
+    Takes the axes and ``params`` of a grid call of :func:`harvest_curve`,
     and ``h``, its result on them, and tags each point as :func:`_nash_point`
     does: a non-deviating point is ``NON_BINDING`` if its free catch lands
     above ``BOUNDARY_TOL``, else ``SHUTDOWN_UNPROFITABLE``; any other point
     is ``BINDING`` if ``h`` is above ``BOUNDARY_TOL``, else
     ``SHUTDOWN_RESTRICTED`` if its free catch is, else ``SHUTDOWN_UNPROFITABLE``.
     """
-    X, R = _axes(x_values, r_values, pointwise)
+    X = np.asarray(x_values, dtype=float).reshape(-1, 1)
+    R = np.asarray(r_values, dtype=float).reshape(1, -1)
     free = _free_catch(params, X)[-1]
     profitable = free > BOUNDARY_TOL
     nondev = (params.weight == 0.0) | (free <= R + BOUNDARY_TOL)
     shut = np.where(profitable, 3, 2)       # restricted, unprofitable
     codes = np.where(np.asarray(h).reshape(nondev.shape) > BOUNDARY_TOL, 0, shut)
-    codes = np.where(nondev, np.where(profitable, 1, 2), codes)
-    return codes.reshape(-1) if pointwise else codes
+    return np.where(nondev, np.where(profitable, 1, 2), codes)
 
 
 def profit(params: EconParams, group: int, q_own: float, q_other: float,

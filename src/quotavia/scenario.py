@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .control import Strategy, StrategySettings
@@ -137,7 +137,7 @@ class ScenarioConfig:
         for section in parser.sections():
             values[section] = {key: _parse_value(section, key, raw)
                                for key, raw in parser.items(section)}
-        return cls._build(values)
+        return cls._build(values, {})
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -145,12 +145,16 @@ class ScenarioConfig:
             return cls.from_text(handle.read())
 
     @classmethod
-    def _build(cls, values: dict[str, dict]) -> "ScenarioConfig":
+    def _build(cls, values: dict[str, dict], overridden: dict[str, dict]) -> "ScenarioConfig":
+        """The config of ``values`` (section -> key -> typed value), each section
+        validated once; a failing one is labelled with its ``overridden`` keys."""
         def wrap(section: str, factory):
             try:
                 return factory()
             except ValueError as exc:
-                raise ConfigError(f"[{section}]: {exc}") from None
+                keys = overridden.get(section)
+                label = f"[{section}] {', '.join(keys)}" if keys else f"[{section}]"
+                raise ConfigError(f"{label}: {exc}") from None
 
         econ = wrap("econ", lambda: EconParams(**values["econ"]))
         recruitment = wrap("recruitment", lambda: Recruitment(**values["recruitment"]))
@@ -165,22 +169,29 @@ class ScenarioConfig:
         return cls(econ=econ, recruitment=recruitment, bounds=bounds,
                    simulation=simulation, output=output)
 
+    def _values(self) -> dict[str, dict]:
+        """Every field's typed value, section -> key -> value in ``_SCHEMA`` order."""
+        values = {}
+        for section, keys in _SCHEMA.items():
+            fields = getattr(self, section)
+            values[section] = {key: getattr(fields, "strategy" if key == "name" else key)
+                               for key in keys}
+        return values
+
     def to_text(self) -> str:
         """Canonical serialization: the keys of ``_SCHEMA`` in its order,
         every set value explicit."""
         buffer = io.StringIO()
-        for section, keys in _SCHEMA.items():
+        for section, fields in self._values().items():
             buffer.write(f"[{section}]\n")
-            fields = getattr(self, section)
-            for key, (kind, _) in keys.items():
-                value = getattr(fields, "strategy" if key == "name" else key)
+            for key, value in fields.items():
                 if key == "initial_trend":
                     value = _TREND_NAMES[value]
                 elif value is None:
                     continue
                 elif isinstance(value, Enum):
                     value = value.value
-                elif kind is float:
+                elif _SCHEMA[section][key][0] is float:
                     value = repr(value)
                 buffer.write(f"{key} = {value}\n")
             buffer.write("\n")
@@ -189,11 +200,13 @@ class ScenarioConfig:
     def with_overrides(self, overrides: dict) -> "ScenarioConfig":
         """New config with dotted ``section.key`` fields replaced.
 
-        Values may be strings (parsed like file input) or already typed.  An
-        invalid or non-finite value raises :class:`ConfigError` naming the
-        field.
+        Values may be strings (parsed like file input) or already typed.  All
+        are parsed first, then validated together, each section once with its
+        final values, so their order does not matter.  A :class:`ConfigError`
+        names the field that does not parse, or the failing section and its
+        overridden keys in override order (``[simulation] dt, control_interval``).
         """
-        cfg = self
+        parsed: dict[str, dict] = {}
         for path, value in overrides.items():
             try:
                 section, key = path.split(".", 1)
@@ -201,19 +214,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{path!r}: expected section.key") from None
             if section not in _SCHEMA or key not in _SCHEMA[section]:
                 raise ConfigError(f"{path!r}: unknown field")
-            value = _parse_value(section, key, value)
-            try:
-                cfg = cfg._with_field(section, key, value)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from None
-        return cfg
-
-    def _with_field(self, section: str, key: str, value) -> "ScenarioConfig":
-        if section == "strategy":
-            key = "strategy" if key == "name" else key
-            section, key, value = ("simulation", "settings",
-                                   replace(self.strategy, **{key: value}))
-        return replace(self, **{section: replace(getattr(self, section), **{key: value})})
+            parsed.setdefault(section, {})[key] = _parse_value(section, key, value)
+        values = {section: {**fields, **parsed.get(section, {})}
+                  for section, fields in self._values().items()}
+        return self._build(values, parsed)
 
     def build(self) -> tuple[EconParams, Recruitment, ViabilityBounds, SimConfig]:
         return self.econ, self.recruitment, self.bounds, self.simulation

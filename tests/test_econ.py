@@ -5,7 +5,6 @@ import hashlib
 import math
 import random
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,7 +64,7 @@ def test_econ_params_derives_its_terms(values):
 
     params = EconParams(*values)
     assert_terms(params, values)
-    # ScenarioConfig.with_overrides replaces a field with dataclasses.replace
+    # dataclasses.replace runs __post_init__ again, so the terms follow
     for i, name in enumerate(_FIELDS):
         moved = values[:i] + (values[i] * 1.3,) + values[i + 1:]
         assert_terms(dataclasses.replace(params, **{name: moved[i]}), moved)
@@ -93,6 +92,15 @@ def test_underflowing_products_rejected(betas, kappas, match):
         EconParams(1.0, 1.0, *betas, *kappas, 2.0)
     assert EconParams(1.0, 1.0, 1e-150, 1e-150, 0.0, 0.0, 2.0).unmanaged
     assert not EconParams(1.0, 1.0, 1.0, 1.0, 0.0, 1e-300, 2.0).unmanaged
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", _FIELDS)
+def test_non_finite_field_rejected(name, value):
+    # an infinite beta_1 with both kappas 0 would make the weight NaN, and
+    # the unmanaged fishery would compute as a deviating one
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        EconParams(**{**dict(zip(_FIELDS, (1, 1, 1, 1, 0, 0, 2))), name: value})
 
 
 class TestRecruitment:
@@ -280,18 +288,13 @@ def test_nash_point_outputs_are_pinned():
 
 
 def test_regime_codes_match_nash_point_on_pinned_draw():
-    # each point its own fishery, as parameter columns; one in ten unmanaged,
-    # where every point is non-deviating
+    # each point its own fishery, as a 1x1 grid; one in ten unmanaged, where
+    # every point is non-deviating
     points = _nash_grid()
-    params = SimpleNamespace(**{
-        f.name: np.array([getattr(p, f.name) for p, _, _ in points]).reshape(-1, 1)
-        for f in dataclasses.fields(EconParams)})
-    xs = [x for _, x, _ in points]
-    rs = [r for _, _, r in points]
-    h = harvest_curve(params, xs, rs, pointwise=True)
-    codes = regime_codes(params, xs, rs, h, pointwise=True)
+    codes = [regime_codes(p, [x], [r], harvest_curve(p, [x], [r])).item()
+             for p, x, r in points]
     scalar = [_nash_point(p, x, r)[3] for p, x, r in points]
-    assert [list(Regime)[code] for code in codes.tolist()] == scalar
+    assert [list(Regime)[code] for code in codes] == scalar
     assert set(scalar) == set(Regime)
     assert {regime for (p, _, _), regime in zip(points, scalar)
             if p.unmanaged} == {Regime.NON_BINDING, Regime.SHUTDOWN_UNPROFITABLE}

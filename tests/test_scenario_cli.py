@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -200,6 +201,66 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError) as from_override:
             canonical.with_overrides({f"strategy.{key}": value})
         assert str(from_file.value) == str(from_override.value) == expected
+
+    @pytest.mark.parametrize("overrides", [
+        {"simulation.dt": 0.5, "simulation.control_interval": 0.5},
+        {"simulation.control_interval": 300, "simulation.horizon": 300},
+    ])
+    def test_overrides_are_validated_together(self, canonical, overrides):
+        # each intermediate config of one order is invalid, the result is not
+        forward = canonical.with_overrides(overrides)
+        backward = canonical.with_overrides(dict(reversed(overrides.items())))
+        assert forward.to_text() == backward.to_text()
+        for field, value in overrides.items():
+            assert getattr(forward.simulation, field.split(".")[1]) == value
+
+    def test_failed_section_names_its_overridden_keys(self, canonical):
+        overrides = {"econ.price": 3.0, "simulation.dt": 0.5,
+                     "simulation.control_interval": 0.2}
+        for order, keys in ((overrides, "dt, control_interval"),
+                            (dict(reversed(overrides.items())), "control_interval, dt")):
+            with pytest.raises(ConfigError) as info:
+                canonical.with_overrides(order)
+            assert str(info.value) == (f"[simulation] {keys}: "
+                                       "control_interval must be at least dt")
+
+    def test_override_parse_error_comes_first(self, canonical):
+        with pytest.raises(ConfigError) as info:
+            canonical.with_overrides({"simulation.dt": 0.5, "econ.price": "cheap"})
+        assert str(info.value) == "[econ] price: expected float, got 'cheap'"
+
+
+# values for the fields whose checks read other fields, and some that do not
+_OVERRIDE_POOL = {
+    "simulation.dt": [0.01, 0.1, 0.5, "2.0"],
+    "simulation.control_interval": [0.1, 0.5, 2.0, 300.0],
+    "simulation.horizon": [0.5, 2.0, 300.0, "1e9"],
+    "econ.kappa_1": [0.0, 1.0, -1.0],
+    "econ.kappa_2": [0.0, 3.0],
+    "econ.price": [0.5, 2.0, "-1"],
+    "strategy.name": ["ichthyocentric", "conservative", "qualitative"],
+    "strategy.rate": [0.05, 0.5, 0.0],
+}
+
+
+@st.composite
+def override_sets(draw):
+    fields = draw(st.lists(st.sampled_from(sorted(_OVERRIDE_POOL)),
+                           min_size=2, max_size=4, unique=True))
+    return {field: draw(st.sampled_from(_OVERRIDE_POOL[field])) for field in fields}
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(overrides=override_sets())
+def test_override_order_does_not_matter(canonical_scenario_path, overrides):
+    canonical = ScenarioConfig.from_file(canonical_scenario_path)
+    outcomes = set()
+    for order in itertools.permutations(overrides.items()):
+        try:
+            outcomes.add(canonical.with_overrides(dict(order)).to_text())
+        except ConfigError:
+            outcomes.add(ConfigError)
+    assert len(outcomes) == 1, overrides
 
 
 class TestCheckCommand:
@@ -573,6 +634,18 @@ class TestSweepCommand:
                 (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         assert [row[2] for row in rows] == ["viable", "error: ConfigError"]
         assert rows[1][:2] == [bad, "1"] and rows[1][3:] == ["", "", ""]
+
+    def test_cells_validate_their_overrides_together(self, canonical_scenario_path, tmp_path):
+        # the first cell's dt of 0.5 is valid only with its control_interval
+        # of 0.5, not with the scenario's 0.1
+        axes = ("simulation.dt=0.5|0.01,simulation.control_interval=0.5:0.5:1,"
+                "simulation.horizon=2:2:1")
+        assert main(["sweep", "--config", canonical_scenario_path,
+                     "--out", str(tmp_path), "--axes", axes]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["0.5", "0.5", "2"], ["0.01", "0.5", "2"]]
+        assert all(row[3] in ("viable", "violated") for row in rows)
 
     def test_non_integral_int_value_is_error_row(self, canonical_scenario_path, tmp_path):
         axes = "simulation.record_stride=1:2:3,simulation.horizon=1:1:1"
