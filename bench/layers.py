@@ -30,6 +30,11 @@ Measured, one process, one thread:
   with asymmetric costs, so that every row block holds interior,
   non-deviating and single-group points (the grid whose output
   ``tests/test_verification.py`` pins);
+* ``harvest_curve_ns_per_cell``: the ``econ.harvest_curve`` calls of one
+  ``engine.sweep`` on the benchmark's 192-cell grid (the lockstep's calls
+  on per-cell parameter columns, about four per step of 200 steps),
+  captured with every argument copied and replayed, per cell evaluated:
+  the lockstep's fixed cost per kernel call;
 * ``simulate_ns_per_step_{canonical,crisis}``: ``engine.simulate`` on the
   shipped scenario, per step of its time grid (20,000 steps; both runs
   settle, and ``simulate`` reuses exactly repeated steps, so it computes
@@ -144,15 +149,17 @@ def replayed(module, attr: str, stand_in, argv: list[str]) -> None:
         cli_main(argv)
 
 
-def captured(module, names: tuple[str, ...], run) -> dict[str, list[tuple]]:
-    """Arguments of every call that ``run()`` makes to each of ``module``'s
-    ``names``, the first argument copied before the call can change it."""
-    calls: dict[str, list[tuple]] = {name: [] for name in names}
+def captured(module, names: tuple[str, ...], run) -> dict[str, list[tuple[tuple, dict]]]:
+    """Positional and keyword arguments of every call that ``run()`` makes to
+    each of ``module``'s ``names``, each argument copied (``copy.copy``, so
+    an array's data too) before the call, or a later one, can change it."""
+    calls: dict[str, list[tuple[tuple, dict]]] = {name: [] for name in names}
 
     def spy(name: str, real):
-        def call(first, *rest):
-            calls[name].append((copy.copy(first), *rest))
-            return real(first, *rest)
+        def call(*args, **kwargs):
+            calls[name].append((tuple(map(copy.copy, args)),
+                                {key: copy.copy(value) for key, value in kwargs.items()}))
+            return real(*args, **kwargs)
         return call
 
     with contextlib.ExitStack() as stack:
@@ -247,11 +254,13 @@ def measure(root: str, repeat: int) -> dict:
             cli, cfg, sweep_axes(root, LONG_SWEEP_DRAWS, LONG_SWEEP_HORIZON))
         calls = captured(engine, ("_rk4", "qualitative_step"),
                          lambda: simulate(*ScenarioConfig.from_file(crisis).build()))
-        rk4, decide = engine._rk4, engine.qualitative_step
+        kernel_calls = captured(engine, ("harvest_curve",),
+                                lambda: engine.sweep(build, axes))["harvest_curve"]
+        rk4, decide, kernel = engine._rk4, engine.qualitative_step, engine.harvest_curve
         fresh: list[tuple] = []     # the decisions' states, copied anew before each call
 
         def rk4_steps():
-            for args in calls["_rk4"]:
+            for args, _ in calls["_rk4"]:
                 rk4(*args)
 
         def decisions():
@@ -259,13 +268,21 @@ def measure(root: str, repeat: int) -> dict:
                 decide(*args)
 
         def copy_states():
-            fresh[:] = [(copy.copy(state), *rest) for state, *rest in calls["qualitative_step"]]
+            fresh[:] = [(copy.copy(state), *rest)
+                        for (state, *rest), _ in calls["qualitative_step"]]
+
+        def lockstep_kernel():
+            with numpy.errstate(all="ignore"):  # as in the lockstep
+                for args, kwargs in kernel_calls:
+                    kernel(*args, **kwargs)
 
         # (name, unit, work units per call, call)
         layers = [
             ("nash_ns_per_solve", "ns", len(points), solves),
             ("harvest_curve_ns_per_point", "ns", kernel_xs.size * kernel_rs.size,
              lambda: econ.harvest_curve(kernel_params, kernel_xs, kernel_rs)),
+            ("harvest_curve_ns_per_cell", "ns",
+             sum(numpy.size(args[1]) for args, _ in kernel_calls), lockstep_kernel),
             simulation("canonical", canonical),
             simulation("crisis", crisis),
             simulation("unsettled", canonical, {"simulation.horizon": UNSETTLED_HORIZON}),

@@ -8,8 +8,8 @@ closed-form evaluation of that game's unique Nash equilibrium under
 non-negative quotas, plus the elementary ingredients (recruitment, profit)
 it is built from.  The equilibrium has one scalar solve (``_nash_point``,
 used in the simulation loop) and one array form of it (``harvest_curve``,
-used on large grids), with the regime tags of a grid of points beside it
-(``regime_codes``).
+used on grids and lockstep sweeps), with the regime tags of a grid of
+points beside it (``regime_codes``).
 """
 
 from __future__ import annotations
@@ -316,16 +316,15 @@ def _free_catch(params: EconParams, X: np.ndarray):
     return gain1, gain2, opt1, opt2, free
 
 
-def harvest_curve(params: EconParams, x_values, r_values, *,
-                  pointwise: bool = False) -> np.ndarray:
+def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
     """Negotiated total harvest: the array form of :func:`_nash_point`.
 
-    Two call shapes run the one body.  On a grid (the default) the result
-    is ``h[i, j]`` at stock ``x_values[i]`` and recommendation
-    ``r_values[j]``.  With ``pointwise`` the two are paired, ``h[i]`` at
-    ``x_values[i]`` and ``r_values[i]``, and ``params`` may hold, for each
-    entry of ``dataclasses.fields(EconParams)``, an ``(n, 1)`` column of
-    per-point values: one lockstep step of an ensemble (``engine.sweep``).
+    Two call shapes run the one body, chosen by ``params``.  With scalar
+    fields, as in ``EconParams``, the result is a grid, ``h[i, j]`` at stock
+    ``x_values[i]`` and recommendation ``r_values[j]``.  With a 1-D column
+    per entry of ``dataclasses.fields(EconParams)`` the points are paired,
+    ``h[i]`` at ``x_values[i]`` and ``r_values[i]`` under entry ``i``'s
+    parameters: one lockstep step of an ensemble (``engine.sweep``).
 
     Runs the same branches with the same operations, so every point equals
     the scalar solve bit for bit.  The scalar form stays for point-by-point
@@ -335,13 +334,15 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
     The terms that depend on ``x`` (and the parameters) alone are computed
     once, as columns.  A grid is then evaluated a few rows at a time, so
     that every temporary holds about ``_BLOCK_POINTS`` values and stays in
-    cache, and a pointwise call, whose columns vary per point, in one block.
+    cache, and paired points, whose parameters vary per point, in one block.
     Each block's interior harvest is written straight into the result, the
     non-deviating points overwrite it, and the single-group branches are
     built only for a block that has a point in neither of those two.
     """
-    X = np.asarray(x_values, dtype=float).reshape(-1, 1)
-    R = np.asarray(r_values, dtype=float).reshape((-1, 1) if pointwise else (1, -1))
+    pointwise = getattr(params.price, "ndim", 0) == 1   # not np.ndim: 1.7 us on a float
+    X, R = np.asarray(x_values, dtype=float), np.asarray(r_values, dtype=float)
+    if not pointwise:
+        X, R = X.reshape(-1, 1), R.reshape(1, -1)
     b1, b2 = params.beta_1, params.beta_2
     k1, k2 = params.kappa_1, params.kappa_2
     gain1, gain2, opt1, opt2, free = _free_catch(params, X)
@@ -358,10 +359,9 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
     both = (opt1 >= 0.0) & (opt2 >= 0.0)
     alone2 = None   # built when a block first needs the single-group branches
 
-    shape = (X.size, 1 if pointwise else R.size)
-    out = np.empty(shape)
-    rows = max(1, X.size) if pointwise else max(1, _BLOCK_POINTS // max(shape[1], 1))
-    block = (min(rows, X.size), shape[1])
+    out = np.empty(X.shape if pointwise else (X.size, R.size))
+    rows = max(1, X.size) if pointwise else max(1, _BLOCK_POINTS // max(R.size, 1))
+    block = (min(rows, X.size), *out.shape[1:])
     q1_buf, q2_buf = np.empty(block), np.empty(block)
     nondev_buf, interior_buf, settled_buf = (np.empty(block, dtype=bool) for _ in range(3))
     for lo in range(0, X.size, rows):
@@ -418,7 +418,7 @@ def harvest_curve(params: EconParams, x_values, r_values, *,
             np.divide(q, 2.0 * (b + kx[c]), out=q)
             np.logical_and(solo, q > 0.0, out=solo)  # else the 0.0 written above
             np.copyto(hb, q, where=solo)
-    return out.reshape(-1) if pointwise else out
+    return out
 
 
 def regime_codes(params: EconParams, x_values, r_values, h) -> np.ndarray:

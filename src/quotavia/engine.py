@@ -439,19 +439,22 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     cfg)``, the cells advanced together as one ensemble.
 
     The cells share ``dt``, the step count, the control interval and the
-    record stride.  Stock, recommendation and moratorium flag are arrays
-    with one entry per cell, and each step runs ``simulate``'s step with the
-    same operations in the same order: one pointwise ``harvest_curve`` call
-    at the stock and one per stage of the same ``_rk4`` (one more at a
-    qualitative decision), ichthyocentric and conservative decisions as
-    masks, each qualitative cell's ``ControllerState`` stepped through
-    ``qualitative_step``, the first floor violation read from the flag
-    arrays, and each recorded harvest added to the cell's running total in
-    ``mean_harvest``'s order.  So every cell equals its own ``simulate`` bit
-    for bit.  Where the scalar code would raise (the floor recommendation at
-    a stock that is not positive, or whose product with the deviation weight
-    underflows to 0), that cell's decision runs the scalar code, and an
-    exception it raises becomes the cell's error.
+    record stride.  Each cell is one entry of 1-D arrays: its parameters (a
+    column per field of ``EconParams``, which ``harvest_curve`` and the
+    floor recommendation both read), stock, recommendation and moratorium
+    flag.  Each step runs ``simulate``'s step with the same operations in
+    the same order: one ``harvest_curve`` call at the stock and one per
+    stage of the same ``_rk4`` (one more at a qualitative decision),
+    ichthyocentric and conservative decisions as masks, each qualitative
+    cell's ``ControllerState`` stepped through ``qualitative_step``, the
+    first floor violation read from the flag arrays, and each recorded
+    harvest added to the cell's running total in ``mean_harvest``'s order.
+    So every cell equals its own ``simulate`` bit for bit.  Where the scalar
+    code would raise (the floor recommendation at a stock that is not
+    positive, or whose product with the deviation weight underflows to 0),
+    that cell's decision runs the scalar code, and an exception it raises
+    becomes the cell's error result; a cell is live while its result is
+    None.
     """
     results: list[CellResult | None] = [None] * len(cells)
     live, states, trends = [], [], []
@@ -472,25 +475,21 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     def column(values) -> np.ndarray:
         return np.fromiter(values, dtype=float, count=len(live))
 
-    params = SimpleNamespace(**{f.name: column(getattr(p, f.name) for p in econs).reshape(-1, 1)
+    params = SimpleNamespace(**{f.name: column(getattr(p, f.name) for p in econs)
                                 for f in fields(EconParams)})
     growth = column(r.growth for r in recs)
     capacity = column(r.capacity for r in recs)
-    deadband = column(1e-6 * r.capacity for r in recs)
+    deadband = 1e-6 * capacity
     harvest_floor = column(b.harvest_floor for b in floors)
-    stock_line = column(b.stock_floor - _VIABILITY_TOL for b in floors)
-    harvest_line = column(b.harvest_floor - _VIABILITY_TOL for b in floors)
+    stock_line = column(b.stock_floor for b in floors) - _VIABILITY_TOL
+    harvest_line = harvest_floor - _VIABILITY_TOL
     x = column(c.initial_stock for c in cfgs)
-    # the floor recommendation's terms, 1-D as x is, not (n, 1) columns
-    w, wb, wa, wp = (params.weight[:, 0], params.beta_product[:, 0],
-                     params.cost_term[:, 0], params.price_term[:, 0])
     strategy = [state.settings.strategy for state in states]
     ichthyocentric, conservative = (np.array([s is member for s in strategy])
                                     for member in (ICHTHYOCENTRIC, CONSERVATIVE))
     ruled = [j for j, s in enumerate(strategy) if s is QUALITATIVE]   # on the rule table
     r = column(state.recommendation for state in states)
     moratorium = np.array([state.moratorium for state in states])
-    dead = np.zeros(len(live), dtype=bool)   # cells whose decision raised
 
     cfg = cfgs[0]
     dt = cfg.dt
@@ -508,26 +507,27 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
             g = growth * x * (1.0 - x / capacity)
             np.copyto(r, np.where(0.0 > g, 0.0, g), where=ichthyocentric)
         if conservative.any():
-            wx = w * x
-            floor = (harvest_floor * (wx + wb) + wa) / wx - wp / w   # masked where w is 0
+            wx = params.weight * x
+            floor = ((harvest_floor * (wx + params.beta_product) + params.cost_term) / wx
+                     - params.price_term / params.weight)   # masked where the weight is 0
             np.copyto(r, np.where(0.0 > floor, 0.0, floor), where=conservative)
-            for j in np.flatnonzero(conservative & ~dead & ~((x > 0.0) & (wx != 0.0))):
-                try:
-                    r[j] = conservative_recommend(econs[j], floors[j], float(x[j]))
-                except Exception as exc:  # recorded in-grid, sweep continues
-                    results[live[j]] = _failed(cells[live[j]][0], exc)
-                    dead[j] = True
+            for j in np.flatnonzero(conservative & ~((x > 0.0) & (wx != 0.0))):
+                if results[live[j]] is None:    # else it failed at an earlier decision
+                    try:
+                        r[j] = conservative_recommend(econs[j], floors[j], float(x[j]))
+                    except Exception as exc:  # recorded in-grid, sweep continues
+                        results[live[j]] = _failed(cells[live[j]][0], exc)
         if ruled:
-            hs = np.where(moratorium, 0.0, harvest_curve(params, x, r, pointwise=True)).tolist()
+            hs = np.where(moratorium, 0.0, harvest_curve(params, x, r)).tolist()
             for j in ruled:
                 state = qualitative_step(states[j], classify_region(
                     trends[j], hs[j], states[j].recommendation, floors[j]))
                 r[j], moratorium[j] = state.recommendation, state.moratorium
 
-    def rhs(s: np.ndarray, idle: bool, h: np.ndarray | None = None) -> np.ndarray:
-        # h, the harvest at s, when already solved: the recorded one at stage k1
+    def rhs(s: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+        # reads the step's r, moratorium and idle; h, the harvest at s, is given at stage k1
         g = growth * s * (1.0 - s / capacity)
-        out = g - (harvest_curve(params, s, r, pointwise=True) if h is None else h)
+        out = g - (harvest_curve(params, s, r) if h is None else h)
         np.copyto(out, 0.0, where=s <= 0.0)
         if idle:
             np.copyto(out, np.where(s > 0.0, g, 0.0), where=moratorium)
@@ -540,7 +540,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
                 trends = np.where(x - prev_control_x <= -deadband, -1, 1).tolist()
                 prev_control_x = x
                 decide()
-            h = harvest_curve(params, x, r, pointwise=True)
+            h = harvest_curve(params, x, r)
             idle = moratorium.any()
             if idle:
                 h[moratorium] = 0.0
@@ -556,12 +556,12 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
             if k == n_steps:
                 break
 
-            x_next = _rk4(lambda s: rhs(s, idle), x, dt, rhs(x, idle, h))
+            x_next = _rk4(rhs, x, dt, rhs(x, h))
             np.copyto(x_next, 0.0, where=(x_next <= 0.0) & (x > 0.0))
             x = x_next
 
     for j, i in enumerate(live):
-        if not dead[j]:
+        if results[i] is None:
             step = int(first_violation[j])
             results[i] = CellResult(cells[i][0], step >= 0, step * dt if step >= 0 else None,
                                     float(x[j]), float(total[j]) / row)

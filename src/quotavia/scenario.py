@@ -142,7 +142,10 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_text(handle.read())
+            try:
+                return cls.from_text(handle.read())
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
     @classmethod
     def _build(cls, values: dict[str, dict], overridden: dict[str, dict]) -> "ScenarioConfig":

@@ -323,29 +323,26 @@ def monotonicity_suite(seed: int = DEFAULT_SEED, instances: int = 400) -> SuiteR
             if value > xs[-1] * 1.001:
                 xs.append(float(value))
         bad = False
-        for x in xs:
-            unman = unmanaged_harvest(params, float(x))
-            rs = np.linspace(0.0, 2.0 * max(unman, 1.0), 8)
-            hseq = [binding_harvest(params, float(x), float(r)) for r in rs]
+        unman = [unmanaged_harvest(params, x) for x in xs]
+        for x, u in zip(xs, unman):
+            rs = np.linspace(0.0, 2.0 * max(u, 1.0), 8).tolist()
+            hseq = [binding_harvest(params, x, r) for r in rs]
             if any(b <= a for a, b in zip(hseq, hseq[1:])):
                 bad = True
-            for r in rs:
-                gap = unman - float(r)
-                if abs(gap) > 1e-9 * max(1.0, abs(unman), float(r)):
-                    bound_gap = binding_harvest(params, float(x), float(r)) - float(r)
-                    if (gap > 0.0) != (bound_gap > 0.0):
-                        bad = True
+            for r, h in zip(rs, hseq):
+                gap = u - r
+                if abs(gap) > 1e-9 * max(1.0, abs(u), r) and (gap > 0.0) != (h - r > 0.0):
+                    bad = True
         r_fixed = 0.37
-        hx = [binding_harvest(params, float(x), r_fixed) for x in xs]
+        hx = [binding_harvest(params, x, r_fixed) for x in xs]
         if any(b <= a for a, b in zip(hx, hx[1:])):
             bad = True
-        unman = [unmanaged_harvest(params, float(x)) for x in xs]
         if any(b <= a for a, b in zip(unman, unman[1:])):
             bad = True
-        floors = [recommendation_floor(params, bounds, float(x)) for x in xs]
+        floors = [recommendation_floor(params, bounds, x) for x in xs]
         if any(b >= a for a, b in zip(floors, floors[1:])):
             bad = True
-        x_mid = float(xs[len(xs) // 2])
+        x_mid = xs[len(xs) // 2]
         r_hat = unmanaged_harvest(params, x_mid)
         if r_hat > 1e-3:
             delta = 1e-6

@@ -931,3 +931,57 @@ class TestStockFloorWeightUnderflow:
 def test_usage_error_exits_one(capsys):
     assert main(["simulate", "--nonsense"]) == 1
     assert main(["phase", "--config", "x", "--grid", "1:2:3"]) == 1
+
+
+@pytest.mark.parametrize("command, options", [
+    ("check", []),
+    ("simulate", []),
+    ("phase", ["--grid", "0.1:2:0:1:5:5"]),
+    ("sweep", ["--axes", "econ.price=1:2:2"]),
+])
+def test_config_that_is_not_utf8_exits_one(tmp_path, capsys, command, options):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[econ]\nalpha_1 = 1.0 # caf\xe9\n")
+    out = tmp_path / "out"
+    if command != "check":
+        options = ["--out", str(out), *options]
+    assert main([command, "--config", str(path), *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {path}: not UTF-8 text: ")
+    assert "can't decode byte 0xe9 in position 26" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# ROADMAP item 8's pool of extreme values, set in 1-3 of these fields
+_CONTRACT_KEYS = ["alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price",
+                  "growth", "capacity", "stock_floor", "harvest_floor", "initial_stock"]
+_CONTRACT_VALUES = ["0", "-1", "1e-320", "1e-310", "5e-308", "1e-200", "1e-10", "0.5", "1",
+                    "3", "30", "3000", "1e10", "1e154", "1e200", "1e308", "inf", "nan"]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(scenario=st.sampled_from(["canonical", "crisis"]),
+                  edits=st.dictionaries(st.sampled_from(_CONTRACT_KEYS),
+                                        st.sampled_from(_CONTRACT_VALUES),
+                                        min_size=1, max_size=3))
+def test_check_and_phase_exit_zero_one_or_two(request, contract_dir, scenario, edits):
+    # the keys are unique across sections, one "key = value" line each
+    with open(request.getfixturevalue(f"{scenario}_scenario_path"), encoding="utf-8") as handle:
+        text = handle.read()
+    for key, value in edits.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    path = contract_dir / "edited.ini"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["check"], ["phase", "--out", str(contract_dir), "--grid", "0.1:2:0:1:5:5"]):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*argv, "--config", str(path)])
+        assert code in (0, 1, 2), (argv[0], edits)

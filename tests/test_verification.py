@@ -106,8 +106,8 @@ def test_harvest_curve_matches_scalar_solve():
             _assert_regimes_match(params, xs, rs, grid)
 
 
-# a pointwise call is one block at any size, past a grid block's 1 << 14
-# points too
+# 1-D parameter columns pair the points, in one block at any size, past a
+# grid block's 1 << 14 points too
 @pytest.mark.parametrize("points", [1, 192, (1 << 14) + 5])
 def test_harvest_curve_pointwise_matches_scalar_solve(points):
     # per-point parameters, one fishery in seven unmanaged, stocks from
@@ -121,18 +121,28 @@ def test_harvest_curve_pointwise_matches_scalar_solve(points):
     rs[1::7], rs[2::11], rs[3::13] = np.nan, 0.0, np.inf
     fisheries = [EconParams(*map(float, draws[:, i])) for i in range(points)]
     params = SimpleNamespace(**{
-        f.name: np.array([getattr(p, f.name) for p in fisheries]).reshape(-1, 1)
+        f.name: np.array([getattr(p, f.name) for p in fisheries])
         for f in dataclasses.fields(EconParams)})
     with np.errstate(all="ignore"):
-        h = harvest_curve(params, xs, rs, pointwise=True)
+        h = harvest_curve(params, xs, rs)
     scalar = [_nash_point(p, float(x), float(r))[2] for p, x, r in zip(fisheries, xs, rs)]
     assert h.shape == (points,)
     assert h.tobytes() == np.array(scalar).tobytes()
 
 
 def test_harvest_curve_pointwise_without_points():
-    params = EconParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
-    assert harvest_curve(params, [], [], pointwise=True).shape == (0,)
+    params = SimpleNamespace(**{f.name: np.empty(0) for f in dataclasses.fields(EconParams)})
+    assert harvest_curve(params, [], []).shape == (0,)
+
+
+def test_harvest_curve_numpy_scalar_params_give_the_grid():
+    # numpy scalars have ndim 0, so they select the grid as floats do
+    values = (0.5, 3.0, 1.0, 0.4, 2.0, 0.3, 1.5)
+    params = EconParams(*map(np.float64, values))
+    xs, rs = [0.5, 1.0, 4.0], [0.0, 0.7]
+    grid = harvest_curve(params, xs, rs)
+    assert grid.shape == (3, 2)
+    assert grid.tobytes() == harvest_curve(EconParams(*values), xs, rs).tobytes()
 
 
 @pytest.mark.parametrize("rows, cols", [
