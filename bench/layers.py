@@ -55,6 +55,9 @@ Measured, one process, one thread:
 * ``trajectory_ns_per_row``: the ``simulate`` command with the simulation
   replaced by its recorded canonical result, per ``trajectory.csv`` row
   (so it also holds the config load, ``events.json`` and the summary line);
+* ``trajectory_ns_per_row_crisis``: the same on the recorded crisis result,
+  whose 1,949 events make ``events.json`` weigh and whose 20-step cycle
+  repeats different values than canonical's fixed point;
 * ``phase_ns_per_row``: the ``phase`` command on the 200x200 grid with the
   grid's blocks (``viability.phase_blocks``) replaced by their computed
   values, per ``phase_grid.csv`` row, so it times formatting and writing
@@ -232,6 +235,7 @@ def measure(root: str, repeat: int) -> dict:
     with tempfile.TemporaryDirectory() as out:
         phase_argv = ["phase", "--config", canonical, "--out", out, "--grid", PHASE_GRID]
         record = simulate(*cfg.build())
+        crisis_record = simulate(*ScenarioConfig.from_file(crisis).build())
         xs, rs = cli._parse_grid(PHASE_GRID)
         grid = list(cli.phase_blocks(cfg.econ, cfg.recruitment, cfg.bounds, xs, rs))
 
@@ -291,6 +295,9 @@ def measure(root: str, repeat: int) -> dict:
             ("trajectory_ns_per_row", "ns", len(record.samples),
              lambda: replayed(cli, "simulate", lambda *_: record,
                               ["simulate", "--config", canonical, "--out", out])),
+            ("trajectory_ns_per_row_crisis", "ns", len(crisis_record.samples),
+             lambda: replayed(cli, "simulate", lambda *_: crisis_record,
+                              ["simulate", "--config", crisis, "--out", out])),
             ("phase_ns_per_row", "ns", len(xs) * len(rs),
              lambda: replayed(cli, "phase_blocks", lambda *_: iter(grid), phase_argv)),
             ("phase_200x200_s", "s", 1, lambda: cli_main(phase_argv)),

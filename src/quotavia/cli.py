@@ -43,12 +43,36 @@ def _fmt(value: float | str) -> str:
     return str(value)
 
 
-# The %-template of a trajectory row: "%.17g" % v == f"{v:.17g}" for every
-# float, so its lines are the bytes _fmt would give, built in one call per
-# row.  Enum members are read through ``_value_``, the attribute ``Enum``
-# documents as holding the value; ``.value`` is a descriptor call per member.
-_TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\n"
 _BOOL = ("false", "true")
+
+
+class _FloatText(dict):
+    """``"%.17g" % value`` of each float looked up, formatted on its first
+    lookup.  A zero is never stored: 0.0 and -0.0 are one key but print as
+    "0" and "-0".  A NaN finds its entry only as the same object (dicts test
+    identity before equality), which holds the same text."""
+
+    def __missing__(self, value: float) -> str:
+        text = "%.17g" % value
+        if value:
+            self[value] = text
+        return text
+
+
+def trajectory_rows(samples):
+    """Yield the ``trajectory.csv`` line of each sample, the bytes of
+    ``"%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\\n"`` (with the
+    enums' values and the flags as "true"/"false").
+
+    A run that settles repeats its x, r, h, q1 and q2 exactly, so those are
+    formatted once per distinct value, through a table that lives for this
+    call only; t is unique per row and formatted per row.  Enum members are
+    read through ``_value_``, the attribute ``Enum`` documents as holding the
+    value; ``.value`` is a descriptor call per member."""
+    text = _FloatText()
+    for t, x, r, h, q1, q2, regime, region, maturity, eco, econ in samples:
+        yield (f"{t:.17g},{text[x]},{text[r]},{text[h]},{text[q1]},{text[q2]},"
+               f"{regime._value_},{region._value_},{maturity._value_},{_BOOL[eco]},{_BOOL[econ]}\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -59,10 +83,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    """Write ``payload`` as indented JSON with a trailing newline."""
+    """Write ``payload`` as indented JSON with a trailing newline, built as
+    one string: ``json.dump`` would write it in one chunk per token."""
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def _load(path: str) -> ScenarioConfig:
@@ -133,13 +158,9 @@ def _cmd_simulate(args) -> int:
     out_dir = args.out if args.out is not None else cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     record = simulate(*inputs)
-    rows = (_TRAJECTORY_ROW % (t, x, r, h, q1, q2, regime._value_, region._value_,
-                               maturity._value_, _BOOL[eco], _BOOL[econ])
-            for t, x, r, h, q1, q2, regime, region, maturity, eco, econ
-            in record.samples)
     _write_csv(os.path.join(out_dir, cfg.output.trajectory_file),
                ["t", "x", "r", "h", "q1", "q2", "regime", "region",
-                "maturity", "viable_eco", "viable_econ"], rows)
+                "maturity", "viable_eco", "viable_econ"], trajectory_rows(record.samples))
     _write_json(os.path.join(out_dir, cfg.output.events_file),
                 [{"t": e.t, "kind": e.kind, **e.detail} for e in record.events])
     summary = summarize(record)

@@ -370,8 +370,10 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         prev_flags = flags
 
         if k % stride == 0 or k == n_steps:
-            samples.append(Sample(t, x, r, h, q1, q2, regime,
-                                  region, state.maturity, flags[0], flags[1]))
+            # _make, the documented constructor from an iterable, skips the
+            # keyword handling of Sample(...)
+            samples.append(Sample._make((t, x, r, h, q1, q2, regime,
+                                         region, state.maturity, flags[0], flags[1])))
         if k == n_steps:
             break
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,17 @@ class OutputSettings:
     directory: str = "."
     trajectory_file: str = "trajectory.csv"
     events_file: str = "events.json"
+
+    def __post_init__(self):
+        # simulate writes both files into one directory: an empty name is
+        # the directory itself, and one name for both would overwrite the
+        # trajectory with the events
+        for name in ("trajectory_file", "events_file"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        if os.path.normpath(self.trajectory_file) == os.path.normpath(self.events_file):
+            raise ValueError(f"trajectory_file {self.trajectory_file!r} and events_file "
+                             f"{self.events_file!r} name the same file")
 
 
 _TRENDS = {"": None, "none": None, "growing": 1, "declining": -1}
@@ -168,7 +180,7 @@ class ScenarioConfig:
 
         simulation = wrap("simulation", lambda: SimConfig(
             settings=settings, **values["simulation"]))
-        output = OutputSettings(**values.get("output", {}))
+        output = wrap("output", lambda: OutputSettings(**values.get("output", {})))
         return cls(econ=econ, recruitment=recruitment, bounds=bounds,
                    simulation=simulation, output=output)
 

@@ -5,10 +5,13 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
+import struct
 import tempfile
 import warnings
+import weakref
 
 import hypothesis
 import pytest
@@ -16,8 +19,10 @@ from hypothesis import strategies as st
 
 from quotavia import (
     ConfigError,
+    Maturity,
     Regime,
     Region,
+    Sample,
     ScenarioConfig,
     Strategy,
     classify_region,
@@ -360,6 +365,56 @@ class TestSimulateCommand:
         assert captured.err == "config error: [strategy]: floor_step must be non-negative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("events_file = events.json", "events_file = trajectory.csv",
+         "trajectory_file 'trajectory.csv' and events_file 'trajectory.csv' name the same file"),
+        ("events_file = events.json", "events_file = ./trajectory.csv",
+         "trajectory_file 'trajectory.csv' and events_file './trajectory.csv' name the same file"),
+        ("events_file = events.json", "events_file =", "events_file must not be empty"),
+        ("trajectory_file = trajectory.csv", "trajectory_file =",
+         "trajectory_file must not be empty"),
+    ])
+    def test_output_file_names_are_validated(self, canonical, tmp_path, capsys,
+                                             old, new, message):
+        # both files go to one directory: one name for both would overwrite the
+        # trajectory with the events, an empty one names the directory itself
+        path = tmp_path / "bad.ini"
+        path.write_text(canonical.to_text().replace(old, new))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: [output]: {message}\n"
+        assert not out.exists()
+        field, _, value = new.partition(" =")
+        with pytest.raises(ConfigError) as info:
+            canonical.with_overrides({f"output.{field}": value.strip()})
+        assert str(info.value) == f"[output] {field}: {message}"
+
+    def test_one_formatted_value_table_per_call(self, crisis_scenario_path,
+                                                canonical_scenario_path, tmp_path,
+                                                monkeypatch):
+        # the table of formatted values lives for one call: a later run in the
+        # same process formats its values anew and writes the same bytes
+        tables = []
+
+        class Recorded(cli._FloatText):
+            def __init__(self):
+                super().__init__()
+                tables.append(weakref.ref(self))
+        monkeypatch.setattr(cli, "_FloatText", Recorded)
+        runs = [("crisis", crisis_scenario_path), ("canonical", canonical_scenario_path),
+                ("crisis", crisis_scenario_path)]
+        for index, (scenario, path) in enumerate(runs):
+            out = tmp_path / str(index)
+            assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+            for name, digest in SIMULATE_DIGESTS[scenario].items():
+                assert sha256_of(out / name) == digest, (index, name)
+            assert len(tables) == index + 1
+            assert all(table() is None for table in tables)
+        assert not [name for name, value in vars(cli).items()
+                    if isinstance(value, dict) and any(isinstance(key, float) for key in value)]
+
     def test_ichthyocentric_records_violation(self, canonical, tmp_path):
         text = canonical.to_text().replace("name = conservative",
                                            "name = ichthyocentric")
@@ -371,6 +426,57 @@ class TestSimulateCommand:
         violations = [e for e in events if e["kind"] == "ViabilityViolation"]
         assert violations and violations[0]["which"] == "ecological"
         assert 0.0 < violations[0]["t"] < 5.0
+
+
+# the row template trajectory_rows must reproduce, byte for byte
+_REFERENCE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\n"
+
+
+def _reference_line(sample: Sample) -> str:
+    return _REFERENCE_ROW % (*sample[:6], sample.regime.value, sample.region.value,
+                             sample.maturity.value, str(sample.viable_ecological).lower(),
+                             str(sample.viable_economic).lower())
+
+
+def _twin(value: float) -> float:
+    """A distinct float object with the same bits, NaN payload and sign too."""
+    return struct.unpack("<d", struct.pack("<d", value))[0]
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                   1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 0.1]
+
+
+@st.composite
+def sample_records(draw):
+    """Samples whose floats come from a small pool, each use either the pool's
+    object itself or a distinct object with the same bits."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+                         min_size=1, max_size=8))
+
+    def value():
+        chosen = draw(st.sampled_from(pool))
+        return _twin(chosen) if draw(st.booleans()) else chosen
+
+    return [Sample(*(value() for _ in range(6)), draw(st.sampled_from(Regime)),
+                   draw(st.sampled_from(Region)), draw(st.sampled_from(Maturity)),
+                   draw(st.booleans()), draw(st.booleans()))
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+def _column(*values):
+    return [Sample(0.5, v, v, v, v, v, Regime.BINDING, Region.R1_GROWING_ABOVE_FLOOR,
+                   Maturity.EMERGING, True, False) for v in values]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(samples=sample_records())
+@hypothesis.example(samples=_column(0.0, -0.0, 0.0))
+@hypothesis.example(samples=_column(-0.0, 0.0, -0.0))
+@hypothesis.example(samples=_column(math.nan, _twin(math.nan), -math.nan, math.nan))
+@hypothesis.example(samples=_column(5e-324, _twin(5e-324), -5e-324, math.inf, -math.inf))
+def test_trajectory_rows_equal_the_row_template(samples):
+    assert list(cli.trajectory_rows(samples)) == [_reference_line(s) for s in samples]
 
 
 class TestPhaseCommand:
