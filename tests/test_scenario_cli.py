@@ -289,6 +289,25 @@ class TestCheckCommand:
         assert "NOT VIABLE" in out
         assert "-0.099999999" in out
 
+    def test_case_ordering_a_below_b(self, canonical, tmp_path, capsys):
+        # condition (iii) fails and the floor level a sits below b, with a
+        # ceiling/unmanaged crossing under b
+        econ = {"alpha_1": 4.0, "alpha_2": 0.1, "beta_1": 5.0, "beta_2": 0.1,
+                "kappa_1": 3.0, "kappa_2": 0.2, "price": 5.0}
+        config = canonical.with_overrides({f"econ.{k}": v for k, v in econ.items()})
+        path = tmp_path / "ordering.ini"
+        path.write_text(config.to_text())
+        assert main(["check", "--config", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "condition (i)   harvest floor attainable unmanaged: margin=33.507692307692309 OK\n"
+            "condition (ii)  recruitment covers harvest floor:   margin=0.099999999999999978 OK\n"
+            "condition (iii) admissible recommendation exists:   margin=-8.7692307692307683 FAIL\n"
+            "verdict: NOT VIABLE\n"
+            "a (floor recommendation binds above) = 0.0509803921565299\n"
+            "b, c (recruitment equals harvest floor) = 0.55278640450022376, 1.4472135954997758\n"
+            "case ordering: a<b\n"
+            "ceiling/unmanaged crossings below b: 0.036707195546983706\n")
+
     def test_invalid_config_exits_one(self, canonical, tmp_path, capsys):
         text = canonical.to_text().replace("beta_1 = 1.0", "beta_1 = -1.0")
         path = tmp_path / "bad.ini"

@@ -227,6 +227,46 @@ def test_run_all_seeds_and_counts(monkeypatch, instances, counts):
     assert calls == [(name, 40 + i, n) for i, (name, n) in enumerate(zip(SUITES, counts))]
 
 
+def _report_fields(report):
+    """Every field of a report except ``elapsed``, floats as ``float.hex``."""
+    values = (getattr(report, f.name) for f in dataclasses.fields(report)
+              if f.name != "elapsed")
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+# sha256 of the five report rows and of the arguments of every spied call,
+# keyed by run_all's base seed
+PINNED_REPORTS = {
+    1729: "6fa71cf948912bb4836cf11ded121a96a59951a4d0b9aeb3f8ef42bc5e505f70",
+    1: "5adba44ac8cd73ebc7f528605de927850bb01dda79acc5613c78f66d930547c1",
+    2: "ccd3cffe8f4585d437ac1c08b95528860210e32ce6b2080ad9e5f0a186f2767c",
+    3: "a5367596b014e24a455aa52d806665964129f8b4364931279229ee1de62daa3e",
+}
+
+# one per suite, each called with the instance that suite drew
+_SPIED = ("total_harvest", "check_viability_domain", "recruitment_meets_floor_flags",
+          "catch_within_recruitment_flags", "recommendation_floor")
+
+
+@pytest.mark.parametrize("seed", [verification.DEFAULT_SEED, 1, 2, 3])
+def test_suite_reports_are_pinned(monkeypatch, seed):
+    # each suite at 1/100 of its default count and at run_all's seed offset;
+    # a change to any draw, its order, a rejection or a check moves the digest
+    digest = hashlib.sha256()
+    for name in _SPIED:
+        real = getattr(verification, name)
+        def spy(*args, real=real):
+            digest.update(repr((real.__name__, args)).encode())
+            return real(*args)
+        monkeypatch.setattr(verification, name, spy)
+    rows = []
+    for i, name in enumerate(SUITES):
+        suite = getattr(verification, f"{name}_suite")
+        rows.append(_report_fields(suite(seed + i, max(1, suite.__defaults__[-1] // 100))))
+    digest.update(repr(rows).encode())
+    assert digest.hexdigest() == PINNED_REPORTS[seed], rows
+
+
 def test_reports_render():
     report = nash_agreement_suite(seed=10, instances=20)
     line = report.line()
