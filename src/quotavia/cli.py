@@ -90,6 +90,13 @@ def _write_json(path: str, payload) -> None:
         handle.write(text)
 
 
+def _make_output_dir(path: str) -> None:
+    """Create the output directory ``path``.  An empty path names the working
+    directory, where ``os.path.join("", name)`` writes."""
+    if path:
+        os.makedirs(path, exist_ok=True)
+
+
 def _load(path: str) -> ScenarioConfig:
     if not os.path.exists(path):
         raise ConfigError(f"{path}: no such config file")
@@ -156,7 +163,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load(args.config)
     inputs = _simulation_inputs(cfg)
     out_dir = args.out if args.out is not None else cfg.output.directory
-    os.makedirs(out_dir, exist_ok=True)
+    _make_output_dir(out_dir)
     record = simulate(*inputs)
     _write_csv(os.path.join(out_dir, cfg.output.trajectory_file),
                ["t", "x", "r", "h", "q1", "q2", "regime", "region",
@@ -218,7 +225,7 @@ def _cmd_phase(args) -> int:
     _require_levels(cfg, "phase")
     xs, rs = _parse_grid(args.grid)
     _require_weighted(cfg.econ, xs[0], "--grid: XMIN", _UsageError)
-    os.makedirs(args.out, exist_ok=True)
+    _make_output_dir(args.out)
     _write_csv(os.path.join(args.out, "phase_grid.csv"),
                ["x", "r", "h", "regime", "sign_growth_minus_harvest",
                 "unmanaged_harvest", "recommendation_ceiling",
@@ -290,7 +297,7 @@ def _cmd_sweep(args) -> int:
     axes = _parse_axes(args.axes)
     # validate axis fields and first values up front: a bad one is a config error
     _simulation_inputs(cfg.with_overrides({field: values[0] for field, values in axes}))
-    os.makedirs(args.out, exist_ok=True)
+    _make_output_dir(args.out)
 
     cells = sweep(lambda overrides: _simulation_inputs(cfg.with_overrides(overrides)), axes)
     fields = [field for field, _ in axes]

@@ -54,11 +54,11 @@ def _auto_q_max(params: EconParams, x: float) -> float:
     return 2.0 * max(0.0, opt1, opt2, opt1 + opt2) + 1.0
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > _INNER_TOLERANCE:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
@@ -97,7 +97,7 @@ def best_response(params: EconParams, group: int, q_other: float, x: float,
     lo = grid[best - 1] if best > 0 else grid[0]
     hi = grid[best + 1] if best < _RESOLUTION - 1 else grid[-1]
     own = lambda q: profit(params, group, q, q_other, x, r)
-    candidate = _golden_max(own, lo, hi, _INNER_TOLERANCE)
+    candidate = _golden_max(own, lo, hi)
     # One parabolic vertex fit with samples spaced above the float noise of
     # the flat profit peak; golden section alone stalls there on large quotas.
     spacing = 1e-5 * max(1.0, candidate)

@@ -11,7 +11,7 @@ the test suite and the ``verify`` command.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,6 +165,38 @@ def viability_existence_search(params: EconParams, rec: Recruitment,
     return ok_floor and ok_above
 
 
+def _suite(name: str, seed: int, instances: int, trial) -> SuiteReport:
+    """The sampling loop every suite shares.
+
+    ``trial(rng)`` draws one instance from the suite's seeded stream and
+    returns ``None`` to resample it, or ``(failed, error)``; the loop runs
+    until ``instances`` draws count and reports the failures and the largest
+    error among them.
+    """
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    accepted = 0
+    failures = 0
+    max_error = 0.0
+    while accepted < instances:
+        outcome = trial(rng)
+        if outcome is None:
+            continue
+        failed, error = outcome
+        accepted += 1
+        failures += failed
+        max_error = max(max_error, error)
+    return SuiteReport(name, accepted, failures, max_error, time.perf_counter() - start)
+
+
+def _fishery(rng: np.random.Generator, lo: float, hi: float) -> tuple[Recruitment, float]:
+    """A random logistic fishery and a stock at a uniform fraction in
+    ``[lo, hi)`` of its capacity."""
+    growth = float(_log_uniform(rng, 0.2, 5.0))
+    capacity = float(_log_uniform(rng, 0.5, 8.0))
+    return Recruitment(growth, capacity), capacity * float(rng.uniform(lo, hi))
+
+
 def nash_agreement_suite(seed: int = DEFAULT_SEED,
                          instances: int = 1000) -> SuiteReport:
     """Closed-form negotiation vs best-response oracle on random instances,
@@ -173,12 +205,9 @@ def nash_agreement_suite(seed: int = DEFAULT_SEED,
     Also certifies each closed-form point as a Nash point (no profitable
     unilateral perturbation) and checks the harvest cap.
     """
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    failures = 0
-    max_err = 0.0
     eps = 1e-4
-    for _ in range(instances):
+
+    def trial(rng):
         params = _random_params(rng)
         x = float(_log_uniform(rng, 0.1, 10.0))
         cap = max(unmanaged_harvest(params, x), 0.0)
@@ -190,7 +219,6 @@ def nash_agreement_suite(seed: int = DEFAULT_SEED,
             abs(out.q_1 - res.q_1) / max(1.0, abs(out.q_1)),
             abs(out.q_2 - res.q_2) / max(1.0, abs(out.q_2)),
         )
-        max_err = max(max_err, err)
         bad = (not res.converged) or err > 1e-6
         for group, own, other in ((1, out.q_1, out.q_2), (2, out.q_2, out.q_1)):
             base = profit(params, group, own, other, x, r)
@@ -201,9 +229,9 @@ def nash_agreement_suite(seed: int = DEFAULT_SEED,
             bad = True
         if _interior_negotiation(params, x) and out.h > max(cap, 0.0) + 1e-9:
             bad = True
-        failures += bad
-    return SuiteReport("nash_agreement", instances, failures, max_err,
-                       time.perf_counter() - start)
+        return bad, err
+
+    return _suite("nash_agreement", seed, instances, trial)
 
 
 def viability_domain_suite(seed: int = DEFAULT_SEED,
@@ -213,107 +241,80 @@ def viability_domain_suite(seed: int = DEFAULT_SEED,
     Instances are sampled inside the interior-negotiation regime and away
     from condition margins below 1e-6, where the equivalence is exact.
     """
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    failures = 0
-    accepted = 0
     skipped = 0
-    while accepted < instances:
-        growth = float(_log_uniform(rng, 0.2, 5.0))
-        capacity = float(_log_uniform(rng, 0.5, 8.0))
-        x_lo = capacity * float(rng.uniform(0.15, 0.9))
+
+    def trial(rng):
+        nonlocal skipped
+        rec, x_lo = _fishery(rng, 0.15, 0.9)
         params = _interior_params(rng, x_lo)
         if params is None:
-            continue
-        rec = Recruitment(growth, capacity)
+            return None
         h_lo = rec.rate(x_lo) * float(_log_uniform(rng, 0.2, 1.4))
         if h_lo <= 0.0:
-            continue
+            return None
         bounds = ViabilityBounds(stock_floor=x_lo, harvest_floor=h_lo)
         verdict = check_viability_domain(params, rec, bounds)
         margins = (verdict.margin_floor_attainable, verdict.margin_recruitment,
                    verdict.margin_admissible)
         if min(abs(m) for m in margins) < _MARGIN_EPS:
             skipped += 1
-            continue
-        accepted += 1
-        if viability_existence_search(params, rec, bounds) != verdict.viable:
-            failures += 1
-    return SuiteReport("viability_domain_equivalence", accepted, failures, 0.0,
-                       time.perf_counter() - start,
-                       notes=f"{skipped} margin-resamples")
+            return None
+        return viability_existence_search(params, rec, bounds) != verdict.viable, 0.0
+
+    report = _suite("viability_domain_equivalence", seed, instances, trial)
+    return replace(report, notes=f"{skipped} margin-resamples")
 
 
 def floor_biconditional_suite(seed: int = DEFAULT_SEED,
                           instances: int = 10000) -> SuiteReport:
     """Threshold vs realized flags for economic viability of the
     recruitment recommendation, inside verified viability domains."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    failures = 0
-    accepted = 0
-    while accepted < instances:
-        growth = float(_log_uniform(rng, 0.2, 5.0))
-        capacity = float(_log_uniform(rng, 0.5, 8.0))
-        x_lo = capacity * float(rng.uniform(0.1, 0.7))
+    def trial(rng):
+        rec, x_lo = _fishery(rng, 0.1, 0.7)
         params = _interior_params(rng, x_lo)
         if params is None:
-            continue
-        rec = Recruitment(growth, capacity)
+            return None
         h_lo = rec.rate(x_lo) * float(rng.uniform(0.1, 0.95))
         if h_lo <= 0.0:
-            continue
+            return None
         bounds = ViabilityBounds(stock_floor=x_lo, harvest_floor=h_lo)
         if not check_viability_domain(params, rec, bounds).viable:
-            continue
-        x = float(rng.uniform(x_lo, capacity))
+            return None
+        x = float(rng.uniform(x_lo, rec.capacity))
         if not _interior_negotiation(params, x):
-            continue
+            return None
         rate_x = rec.rate(x)
         if abs(rate_x - recommendation_floor(params, bounds, x)) < 1e-9:
-            continue
+            return None
         if abs(harvest_level(params, x, max(rate_x, 0.0)) - h_lo) < 1e-9:
-            continue
-        accepted += 1
+            return None
         left, right = recruitment_meets_floor_flags(params, rec, bounds, x)
-        failures += left != right
-    return SuiteReport("floor_biconditional", accepted, failures, 0.0,
-                       time.perf_counter() - start)
+        return left != right, 0.0
+
+    return _suite("floor_biconditional", seed, instances, trial)
 
 
 def catch_cap_biconditional_suite(seed: int = DEFAULT_SEED,
                           instances: int = 10000) -> SuiteReport:
     """Realized vs threshold flags for catch staying within recruitment."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    failures = 0
-    accepted = 0
-    while accepted < instances:
-        growth = float(_log_uniform(rng, 0.2, 5.0))
-        capacity = float(_log_uniform(rng, 0.5, 8.0))
-        x = capacity * float(rng.uniform(0.05, 0.95))
+    def trial(rng):
+        rec, x = _fishery(rng, 0.05, 0.95)
         # both groups profitable; a clamped group breaks the threshold form
         params = _biased_params(rng, x)
         if params is None:
-            continue
-        rec = Recruitment(growth, capacity)
+            return None
         if abs(rec.rate(x) - unmanaged_harvest(params, x)) < 1e-9:
-            continue
-        accepted += 1
+            return None
         left, right = catch_within_recruitment_flags(params, rec, x)
-        failures += left != right
-    return SuiteReport("catch_cap_biconditional", accepted, failures, 0.0,
-                       time.perf_counter() - start)
+        return left != right, 0.0
+
+    return _suite("catch_cap_biconditional", seed, instances, trial)
 
 
 def monotonicity_suite(seed: int = DEFAULT_SEED, instances: int = 400) -> SuiteReport:
     """Slope signs, the binding-observability equivalence and regime-boundary
     continuity on random parameter draws."""
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    failures = 0
-    max_jump = 0.0
-    for _ in range(instances):
+    def trial(rng):
         params = _random_params(rng)
         h_lo = float(_log_uniform(rng, 0.05, 2.0))
         bounds = ViabilityBounds(stock_floor=1.0, harvest_floor=h_lo)
@@ -344,16 +345,16 @@ def monotonicity_suite(seed: int = DEFAULT_SEED, instances: int = 400) -> SuiteR
             bad = True
         x_mid = xs[len(xs) // 2]
         r_hat = unmanaged_harvest(params, x_mid)
+        jump = 0.0
         if r_hat > 1e-3:
             delta = 1e-6
             jump = abs(harvest_level(params, x_mid, r_hat - delta)
                        - harvest_level(params, x_mid, r_hat + delta))
-            max_jump = max(max_jump, jump)
             if jump > 1e-4:
                 bad = True
-        failures += bad
-    return SuiteReport("monotonicity", instances, failures, max_jump,
-                       time.perf_counter() - start)
+        return bad, jump
+
+    return _suite("monotonicity", seed, instances, trial)
 
 
 def run_all(seed: int = DEFAULT_SEED, instances: int | None = None) -> list[SuiteReport]:

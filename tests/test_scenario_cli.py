@@ -1078,6 +1078,25 @@ def test_config_that_is_not_utf8_exits_one(tmp_path, capsys, command, options):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, options, files", [
+    ("simulate", ["--out", ""], ["trajectory.csv", "events.json"]),
+    ("simulate", [], ["trajectory.csv", "events.json"]),      # [output] directory =
+    ("phase", ["--grid", "0.1:2:0:1:3:3", "--out", ""],
+     ["phase_grid.csv", "phase_levels.json"]),
+    ("sweep", ["--axes", "simulation.horizon=1:1:1", "--out", ""],
+     ["sweep.csv", "sweep_errors.json"]),
+])
+def test_empty_output_directory_is_the_working_directory(canonical, tmp_path, monkeypatch,
+                                                         capsys, command, options, files):
+    # os.path.join("", name) is name, so the files land where the command runs
+    monkeypatch.chdir(tmp_path)
+    config = canonical.with_overrides({"simulation.horizon": 1.0, "output.directory": ""})
+    (tmp_path / "scenario.ini").write_text(config.to_text())
+    assert main([command, "--config", "scenario.ini", *options]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(tmp_path)) == sorted(["scenario.ini", *files])
+
+
 # ROADMAP item 8's pool of extreme values, set in 1-3 of these fields
 _CONTRACT_KEYS = ["alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price",
                   "growth", "capacity", "stock_floor", "harvest_floor", "initial_stock"]

@@ -227,6 +227,12 @@ def test_run_all_seeds_and_counts(monkeypatch, instances, counts):
     assert calls == [(name, 40 + i, n) for i, (name, n) in enumerate(zip(SUITES, counts))]
 
 
+@pytest.mark.parametrize("name", SUITES)
+def test_negative_count_reports_no_instances(name):
+    report = getattr(verification, f"{name}_suite")(seed=11, instances=-3)
+    assert (report.instances, report.failures, report.max_error) == (0, 0, 0.0)
+
+
 def _report_fields(report):
     """Every field of a report except ``elapsed``, floats as ``float.hex``."""
     values = (getattr(report, f.name) for f in dataclasses.fields(report)
