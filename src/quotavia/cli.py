@@ -21,7 +21,8 @@ from .econ import Regime
 from .engine import simulate, summarize, sweep
 from .scenario import ConfigError, ScenarioConfig
 from .verification import DEFAULT_SEED, run_all
-from .viability import LEVELS_BRACKET, Region, check_viability_domain, critical_levels, phase_blocks
+from .viability import (LEVELS_BRACKET, Region, check_viability_domain, critical_levels,
+                        phase_blocks, recommendation_floor)
 
 __all__ = ["main"]
 
@@ -127,10 +128,18 @@ def _require_levels(cfg: ScenarioConfig, user: str) -> None:
 
 
 def _simulation_inputs(cfg: ScenarioConfig):
-    if cfg.strategy.strategy is Strategy.CONSERVATIVE:
+    conservative = cfg.strategy.strategy is Strategy.CONSERVATIVE
+    if conservative:
         _require_deviation_costs(cfg, "the conservative strategy")
     if not cfg.econ.unmanaged:  # the run's viability check, at the stock floor
         _require_weighted(cfg.econ, cfg.bounds.stock_floor, "[bounds] stock_floor:")
+    if conservative:  # its first decision, at the initial stock
+        x = cfg.simulation.initial_stock
+        _require_weighted(cfg.econ, x, "[simulation] initial_stock:")
+        floor = recommendation_floor(cfg.econ, cfg.bounds, x)
+        if not math.isfinite(floor):
+            raise ConfigError(f"[simulation] initial_stock: {x!r} gives the conservative "
+                              f"strategy a floor recommendation of {floor!r}")
     return cfg.build()
 
 

@@ -13,10 +13,10 @@ that exactly repeats the stock, recommendation and moratorium flag of a
 kept earlier step reuses that step's negotiation and Runge-Kutta result,
 the same bits, so a settled run skips most of its solves.  ``sweep``
 advances the cells that share a time grid together, as arrays, through the
-same ``_rk4``; ichthyocentric and conservative cells decide as masks, and
-each qualitative cell steps its own ``ControllerState`` through
-``qualitative_step``.  Every cell runs ``simulate``'s operations in its
-order, so its summary is its own run's.
+same ``_rk4``, recruitment law and floor formula; ichthyocentric and
+conservative cells decide as masks, and each qualitative cell steps its own
+``ControllerState`` through ``qualitative_step``.  Every cell runs
+``simulate``'s operations in its order, so its summary is its own run's.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .viability import (
     Region,
     ViabilityBounds,
     ViabilityVerdict,
+    _binding_recommendation,
     check_viability_domain,
     classify_region,
 )
@@ -263,8 +264,9 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     events, except that the conservative strategy raises, until these cases
     get a defined action: ``ValueError: stock must be positive`` at its first
     decision after an extinction, ``ZeroDivisionError`` where the deviation
-    weight times the stock underflows to 0, and ``ValueError`` without
-    deviation costs.
+    weight times the stock underflows to 0 (``r = inf`` is recorded where it
+    is subnormal; the CLI refuses both at the initial stock), and
+    ``ValueError`` without deviation costs.
 
     A step is a pure function of the stock, the recommendation and the
     moratorium flag, since the parameters, recruitment and dt are fixed.  A
@@ -442,21 +444,20 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
 
     The cells share ``dt``, the step count, the control interval and the
     record stride.  Each cell is one entry of 1-D arrays: its parameters (a
-    column per field of ``EconParams``, which ``harvest_curve`` and the
-    floor recommendation both read), stock, recommendation and moratorium
-    flag.  Each step runs ``simulate``'s step with the same operations in
-    the same order: one ``harvest_curve`` call at the stock and one per
-    stage of the same ``_rk4`` (one more at a qualitative decision),
-    ichthyocentric and conservative decisions as masks, each qualitative
-    cell's ``ControllerState`` stepped through ``qualitative_step``, the
-    first floor violation read from the flag arrays, and each recorded
-    harvest added to the cell's running total in ``mean_harvest``'s order.
-    So every cell equals its own ``simulate`` bit for bit.  Where the scalar
-    code would raise (the floor recommendation at a stock that is not
-    positive, or whose product with the deviation weight underflows to 0),
-    that cell's decision runs the scalar code, and an exception it raises
-    becomes the cell's error result; a cell is live while its result is
-    None.
+    column per field of ``EconParams``, ``Recruitment`` and
+    ``ViabilityBounds``, read as floats are read), stock, recommendation and
+    moratorium flag.  Each step runs ``simulate``'s step with the same
+    operations in the same order: one ``harvest_curve`` call at the stock
+    and one per stage of the same ``_rk4`` (one more at a qualitative
+    decision), ichthyocentric and conservative decisions as masks on
+    ``Recruitment.rate`` and the floor formula, each qualitative cell's
+    ``ControllerState`` stepped through ``qualitative_step``, the first
+    floor violation read from the flag arrays, and each recorded harvest
+    added to the cell's running total in ``mean_harvest``'s order.  So every
+    cell equals its own ``simulate`` bit for bit.  Where the floor formula
+    is not finite, as at every stock the scalar code raises on, that cell's
+    decision runs the scalar code, and an exception it raises becomes the
+    cell's error result; a cell is live while its result is None.
     """
     results: list[CellResult | None] = [None] * len(cells)
     live, states, trends = [], [], []
@@ -477,14 +478,13 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     def column(values) -> np.ndarray:
         return np.fromiter(values, dtype=float, count=len(live))
 
-    params = SimpleNamespace(**{f.name: column(getattr(p, f.name) for p in econs)
-                                for f in fields(EconParams)})
-    growth = column(r.growth for r in recs)
-    capacity = column(r.capacity for r in recs)
-    deadband = 1e-6 * capacity
-    harvest_floor = column(b.harvest_floor for b in floors)
-    stock_line = column(b.stock_floor for b in floors) - _VIABILITY_TOL
-    harvest_line = harvest_floor - _VIABILITY_TOL
+    # a column per field of each dataclass, read by its formulas as they read a float
+    params, rec, bounds = (SimpleNamespace(**{f.name: column(getattr(o, f.name) for o in objects)
+                                              for f in fields(objects[0])})
+                           for objects in (econs, recs, floors))
+    deadband = 1e-6 * rec.capacity
+    stock_line = bounds.stock_floor - _VIABILITY_TOL
+    harvest_line = bounds.harvest_floor - _VIABILITY_TOL
     x = column(c.initial_stock for c in cfgs)
     strategy = [state.settings.strategy for state in states]
     ichthyocentric, conservative = (np.array([s is member for s in strategy])
@@ -506,14 +506,13 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     def decide() -> None:
         # x is never negative, so ichthyocentric_recommend never raises
         if ichthyocentric.any():
-            g = growth * x * (1.0 - x / capacity)
+            g = Recruitment.rate(rec, x)
             np.copyto(r, np.where(0.0 > g, 0.0, g), where=ichthyocentric)
         if conservative.any():
-            wx = params.weight * x
-            floor = ((harvest_floor * (wx + params.beta_product) + params.cost_term) / wx
-                     - params.price_term / params.weight)   # masked where the weight is 0
+            floor = _binding_recommendation(params, x, bounds.harvest_floor)
             np.copyto(r, np.where(0.0 > floor, 0.0, floor), where=conservative)
-            for j in np.flatnonzero(conservative & ~((x > 0.0) & (wx != 0.0))):
+            # the scalar code raises only where the floor is not finite
+            for j in np.flatnonzero(conservative & ~np.isfinite(floor)):
                 if results[live[j]] is None:    # else it failed at an earlier decision
                     try:
                         r[j] = conservative_recommend(econs[j], floors[j], float(x[j]))
@@ -528,7 +527,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
 
     def rhs(s: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
         # reads the step's r, moratorium and idle; h, the harvest at s, is given at stage k1
-        g = growth * s * (1.0 - s / capacity)
+        g = Recruitment.rate(rec, s)
         out = g - (harvest_curve(params, s, r) if h is None else h)
         np.copyto(out, 0.0, where=s <= 0.0)
         if idle:

@@ -10,6 +10,7 @@ the test suite and the ``verify`` command.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -81,23 +82,26 @@ class SuiteReport:
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
-    return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+    """A log-uniform draw on ``[lo, hi)``, or a list of ``size`` of them.
+    The transform is libm's, through ``math``: numpy picks its ``exp`` loop
+    by the CPU's vector extensions, and the loops differ in the last bit."""
+    u = rng.uniform(math.log(lo), math.log(hi), size)
+    return math.exp(u) if size is None else [math.exp(v) for v in u.tolist()]
 
 
 def _random_params(rng: np.random.Generator) -> EconParams:
-    vals = _log_uniform(rng, 0.1, 10.0, 7)
-    return EconParams(*map(float, vals))
+    return EconParams(*_log_uniform(rng, 0.1, 10.0, 7))
 
 
 def _biased_params(rng: np.random.Generator, x: float) -> EconParams | None:
     """Random parameters with linear costs biased into profitability at ``x``
     (both groups' unconstrained optima non-negative)."""
-    p = float(_log_uniform(rng, 0.1, 10.0))
+    p = _log_uniform(rng, 0.1, 10.0)
     hi = min(10.0, 0.95 * p * x)
     if hi <= 0.1:
         return None
-    a1, a2 = (float(v) for v in _log_uniform(rng, 0.1, hi, 2))
-    b1, b2, k1, k2 = (float(v) for v in _log_uniform(rng, 0.1, 10.0, 4))
+    a1, a2 = _log_uniform(rng, 0.1, hi, 2)
+    b1, b2, k1, k2 = _log_uniform(rng, 0.1, 10.0, 4)
     return EconParams(a1, a2, b1, b2, k1, k2, p)
 
 
@@ -192,8 +196,8 @@ def _suite(name: str, seed: int, instances: int, trial) -> SuiteReport:
 def _fishery(rng: np.random.Generator, lo: float, hi: float) -> tuple[Recruitment, float]:
     """A random logistic fishery and a stock at a uniform fraction in
     ``[lo, hi)`` of its capacity."""
-    growth = float(_log_uniform(rng, 0.2, 5.0))
-    capacity = float(_log_uniform(rng, 0.5, 8.0))
+    growth = _log_uniform(rng, 0.2, 5.0)
+    capacity = _log_uniform(rng, 0.5, 8.0)
     return Recruitment(growth, capacity), capacity * float(rng.uniform(lo, hi))
 
 
@@ -209,7 +213,7 @@ def nash_agreement_suite(seed: int = DEFAULT_SEED,
 
     def trial(rng):
         params = _random_params(rng)
-        x = float(_log_uniform(rng, 0.1, 10.0))
+        x = _log_uniform(rng, 0.1, 10.0)
         cap = max(unmanaged_harvest(params, x), 0.0)
         r = float(rng.uniform(0.0, 2.0 * cap)) if cap > 0.0 else 0.0
         out = total_harvest(params, x, r)
@@ -249,7 +253,7 @@ def viability_domain_suite(seed: int = DEFAULT_SEED,
         params = _interior_params(rng, x_lo)
         if params is None:
             return None
-        h_lo = rec.rate(x_lo) * float(_log_uniform(rng, 0.2, 1.4))
+        h_lo = rec.rate(x_lo) * _log_uniform(rng, 0.2, 1.4)
         if h_lo <= 0.0:
             return None
         bounds = ViabilityBounds(stock_floor=x_lo, harvest_floor=h_lo)
@@ -316,13 +320,13 @@ def monotonicity_suite(seed: int = DEFAULT_SEED, instances: int = 400) -> SuiteR
     continuity on random parameter draws."""
     def trial(rng):
         params = _random_params(rng)
-        h_lo = float(_log_uniform(rng, 0.05, 2.0))
+        h_lo = _log_uniform(rng, 0.05, 2.0)
         bounds = ViabilityBounds(stock_floor=1.0, harvest_floor=h_lo)
-        draws = np.sort(_log_uniform(rng, 0.1, 10.0, 8))
-        xs = [float(draws[0])]
+        draws = sorted(_log_uniform(rng, 0.1, 10.0, 8))
+        xs = draws[:1]
         for value in draws[1:]:         # keep grid spacing above rounding noise
             if value > xs[-1] * 1.001:
-                xs.append(float(value))
+                xs.append(value)
         bad = False
         unman = [unmanaged_harvest(params, x) for x in xs]
         for x, u in zip(xs, unman):

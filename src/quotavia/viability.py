@@ -138,11 +138,8 @@ class CriticalLevels:
 
 
 def _binding_recommendation(params: EconParams, x: float, h: float) -> float:
-    """Recommendation whose binding harvest (``econ.binding_harvest``) at
-    ``x`` is ``h``: that closed form solved for the recommendation."""
-    _require_stock(x)
-    if params.unmanaged:
-        raise ValueError("threshold curves undefined without deviation costs")
+    """``econ.binding_harvest(params, x, r) = h`` solved for ``r``, with no
+    checks, so that it runs on floats and on 1-D columns alike."""
     wx = params.weight * x
     return ((h * (wx + params.beta_product) + params.cost_term) / wx
             - params.price_term / params.weight)
@@ -152,12 +149,18 @@ def recommendation_ceiling(params: EconParams, rec: Recruitment, x: float) -> fl
     """Largest recommendation whose negotiated harvest keeps the stock from
     declining at ``x``.  Negative means no admissible recommendation can
     stabilize the stock there."""
+    _require_stock(x)
+    if params.unmanaged:
+        raise ValueError("threshold curves undefined without deviation costs")
     return _binding_recommendation(params, x, rec.rate(x))
 
 
 def recommendation_floor(params: EconParams, bounds: ViabilityBounds, x: float) -> float:
     """Smallest recommendation whose negotiated harvest reaches the harvest
     floor at ``x``.  Strictly decreasing in the stock."""
+    _require_stock(x)
+    if params.unmanaged:
+        raise ValueError("threshold curves undefined without deviation costs")
     return _binding_recommendation(params, x, bounds.harvest_floor)
 
 

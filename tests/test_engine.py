@@ -7,6 +7,7 @@ import os
 import struct
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -676,6 +677,32 @@ def test_lockstep_steps_qualitative_cells_through_the_rule_table(monkeypatch):
     ruled = [cfg.settings for *_, cfg in cells if cfg.settings.strategy is Strategy.QUALITATIVE]
     assert len(ruled) == 6
     assert calls == {id(s): 30 + (s.initial_trend is not None) for s in ruled}
+
+
+def test_lockstep_reads_recruitment_and_the_floor_formula_as_columns(monkeypatch):
+    # one recruitment law and one floor formula for both paths: the lockstep
+    # calls Recruitment.rate on its columns at the 4 RK4 stages of each of
+    # its 300 steps (rhs) and at each of its 30 ichthyocentric decisions, and
+    # the floor formula at each of its 30 conservative decisions
+    cells = _special_cells()
+    expected = _scalar(cells)
+    rate, floor = Recruitment.rate, engine._binding_recommendation
+    calls = collections.Counter()
+
+    def spied_rate(rec, x):
+        if isinstance(x, np.ndarray):
+            calls["rate", x.shape, rec.growth.shape, rec.capacity.shape] += 1
+        return rate(rec, x)
+
+    def spied_floor(params, x, h):
+        calls["floor", x.shape, params.weight.shape, h.shape] += 1
+        return floor(params, x, h)
+
+    monkeypatch.setattr(Recruitment, "rate", spied_rate)
+    monkeypatch.setattr(engine, "_binding_recommendation", spied_floor)
+    assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
+    live = (len(cells) - 2,)   # "underflow" and "unmanaged-conservative" fail at t = 0
+    assert calls == {("rate", live, live, live): 4 * 300 + 30, ("floor", live, live, live): 30}
 
 
 def test_lockstep_matches_simulate_on_settled_runs(canonical_scenario_path, crisis_scenario_path,

@@ -1053,6 +1053,61 @@ class TestStockFloorWeightUnderflow:
         assert error["error"].startswith("ConfigError: [bounds] stock_floor: ")
 
 
+class TestConservativeInitialStock:
+    """The conservative strategy decides at t = 0 on the floor
+    recommendation, which divides by the deviation weight times the stock:
+    a product of 0 would raise, and a subnormal one gives r = inf."""
+
+    @pytest.fixture()
+    def cheap(self, canonical, tmp_path):
+        path = tmp_path / "cheap.ini"
+        path.write_text(canonical.to_text().replace("kappa_1 = 1.0", "kappa_1 = 0.1")
+                        .replace("kappa_2 = 1.0", "kappa_2 = 0.1")
+                        .replace("horizon = 200.0", "horizon = 1.0"))
+        return path
+
+    @pytest.mark.parametrize("stock, reason", [
+        ("5e-324", "5e-324 times beta_1 * kappa_2 + beta_2 * kappa_1 underflows to 0"),
+        ("1e-320", "1e-320 gives the conservative strategy a floor recommendation of inf"),
+        ("1e-310", "1e-310 gives the conservative strategy a floor recommendation of inf"),
+    ])
+    def test_simulate_exits_one(self, cheap, tmp_path, capsys, stock, reason):
+        cheap.write_text(cheap.read_text().replace("initial_stock = 1.2", f"initial_stock = {stock}"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cheap), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: [simulation] initial_stock: {reason}\n"
+        assert not out.exists()
+
+    def test_simulate_runs_where_the_floor_is_finite(self, canonical, tmp_path):
+        path = tmp_path / "small.ini"
+        path.write_text(canonical.to_text().replace("initial_stock = 1.2", "initial_stock = 1e-300")
+                        .replace("horizon = 200.0", "horizon = 1.0"))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 102 and float(rows[1].split(",")[2]) == pytest.approx(7e299)
+
+    @pytest.mark.parametrize("strategy", ["ichthyocentric", "qualitative"])
+    def test_other_strategies_run(self, cheap, tmp_path, strategy):
+        cheap.write_text(cheap.read_text().replace("initial_stock = 1.2", "initial_stock = 5e-324")
+                         .replace("name = conservative", f"name = {strategy}"))
+        assert main(["simulate", "--config", str(cheap), "--out", str(tmp_path)]) == 0
+
+    def test_sweep_cell_is_config_error(self, cheap, tmp_path, capsys):
+        axes = "simulation.initial_stock=1.2|5e-324|1e-320|1e-300"
+        assert main(["sweep", "--config", str(cheap), "--out", str(tmp_path), "--axes", axes]) == 0
+        rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["violated", "error: ConfigError", "error: ConfigError",
+                                            "viable"]
+        errors = json.loads((tmp_path / "sweep_errors.json").read_text())
+        assert [(e["cell"], e["error"].partition(" ")[2].partition(":")[0]) for e in errors] == [
+            (1, "[simulation] initial_stock"), (2, "[simulation] initial_stock")]
+        out = tmp_path / "first"
+        assert main(["sweep", "--config", str(cheap), "--out", str(out),
+                     "--axes", "simulation.initial_stock=1e-320|1.2"]) == 1
+        assert capsys.readouterr().err.startswith("config error: [simulation] initial_stock: ")
+        assert not out.exists()
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["simulate", "--nonsense"]) == 1
     assert main(["phase", "--config", "x", "--grid", "1:2:3"]) == 1
