@@ -191,8 +191,7 @@ def prebuilt_sweep(cli, cfg, axes: str):
     built, steps = {}, 0
     for combo in itertools.product(*(values for _, values in axes)):
         try:
-            built[combo] = inputs = cli._simulation_inputs(
-                cfg.with_overrides(dict(zip(fields, combo))))
+            built[combo] = inputs = cfg.with_overrides(dict(zip(fields, combo))).build()
             steps += inputs[3].time_grid[0]
         except Exception as exc:
             built[combo] = exc

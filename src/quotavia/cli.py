@@ -16,13 +16,12 @@ import sys
 
 import numpy as np
 
-from .control import Strategy
 from .econ import Regime
-from .engine import simulate, summarize, sweep
+from .engine import (_require_deviation_costs, _require_weighted, require_runnable, simulate,
+                     summarize, sweep)
 from .scenario import ConfigError, ScenarioConfig
 from .verification import DEFAULT_SEED, run_all
-from .viability import (LEVELS_BRACKET, Region, check_viability_domain, critical_levels,
-                        phase_blocks, recommendation_floor)
+from .viability import LEVELS_BRACKET, Region, check_viability_domain, critical_levels, phase_blocks
 
 __all__ = ["main"]
 
@@ -104,48 +103,12 @@ def _load(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_file(path)
 
 
-def _require_deviation_costs(cfg: ScenarioConfig, user: str) -> None:
-    """The threshold curves, and so ``check``, ``phase`` and the conservative
-    strategy, are undefined in a fishery without deviation costs."""
-    if cfg.econ.unmanaged:
-        raise ConfigError(f"[econ] kappa_1, kappa_2: {user} needs a positive "
-                          "deviation cost; with both 0 the threshold curves "
-                          "are undefined")
-
-
-def _require_weighted(econ, x: float, where: str, error=ConfigError) -> None:
-    """The threshold curves divide by the deviation weight times the stock."""
-    if econ.weight * x == 0.0:
-        raise error(f"{where} {x!r} times beta_1 * kappa_2 + beta_2 * kappa_1 underflows to 0")
-
-
-def _require_levels(cfg: ScenarioConfig, user: str) -> None:
-    """``check`` and ``phase`` bracket critical levels from LEVELS_BRACKET of the capacity."""
-    _require_deviation_costs(cfg, user)
-    cap = cfg.recruitment.capacity
-    _require_weighted(cfg.econ, cap * LEVELS_BRACKET,
-                      f"[recruitment] capacity: {cap!r} * {LEVELS_BRACKET!r} =")
-
-
-def _simulation_inputs(cfg: ScenarioConfig):
-    conservative = cfg.strategy.strategy is Strategy.CONSERVATIVE
-    if conservative:
-        _require_deviation_costs(cfg, "the conservative strategy")
-    if not cfg.econ.unmanaged:  # the run's viability check, at the stock floor
-        _require_weighted(cfg.econ, cfg.bounds.stock_floor, "[bounds] stock_floor:")
-    if conservative:  # its first decision, at the initial stock
-        x = cfg.simulation.initial_stock
-        _require_weighted(cfg.econ, x, "[simulation] initial_stock:")
-        floor = recommendation_floor(cfg.econ, cfg.bounds, x)
-        if not math.isfinite(floor):
-            raise ConfigError(f"[simulation] initial_stock: {x!r} gives the conservative "
-                              f"strategy a floor recommendation of {floor!r}")
-    return cfg.build()
-
-
 def _cmd_check(args) -> int:
     cfg = _load(args.config)
-    _require_levels(cfg, "check")
+    _require_deviation_costs(cfg.econ, "check")
+    cap = cfg.recruitment.capacity   # critical_levels brackets from LEVELS_BRACKET of it
+    _require_weighted(cfg.econ, cap * LEVELS_BRACKET,
+                      f"[recruitment] capacity: {cap!r} * {LEVELS_BRACKET!r} =")
     _require_weighted(cfg.econ, cfg.bounds.stock_floor, "[bounds] stock_floor:")
     verdict = check_viability_domain(cfg.econ, cfg.recruitment, cfg.bounds)
     ok = verdict.conditions
@@ -170,10 +133,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config)
-    inputs = _simulation_inputs(cfg)
+    record = simulate(*cfg.build())   # a refused run raises before the directory is made
     out_dir = args.out if args.out is not None else cfg.output.directory
     _make_output_dir(out_dir)
-    record = simulate(*inputs)
     _write_csv(os.path.join(out_dir, cfg.output.trajectory_file),
                ["t", "x", "r", "h", "q1", "q2", "regime", "region",
                 "maturity", "viable_eco", "viable_econ"], trajectory_rows(record.samples))
@@ -231,7 +193,10 @@ def phase_rows(params, rec, bounds, xs: list[float], rs: list[float]):
 
 def _cmd_phase(args) -> int:
     cfg = _load(args.config)
-    _require_levels(cfg, "phase")
+    _require_deviation_costs(cfg.econ, "phase")
+    cap = cfg.recruitment.capacity   # critical_levels brackets from LEVELS_BRACKET of it
+    _require_weighted(cfg.econ, cap * LEVELS_BRACKET,
+                      f"[recruitment] capacity: {cap!r} * {LEVELS_BRACKET!r} =")
     xs, rs = _parse_grid(args.grid)
     _require_weighted(cfg.econ, xs[0], "--grid: XMIN", _UsageError)
     _make_output_dir(args.out)
@@ -305,10 +270,10 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args.config)
     axes = _parse_axes(args.axes)
     # validate axis fields and first values up front: a bad one is a config error
-    _simulation_inputs(cfg.with_overrides({field: values[0] for field, values in axes}))
+    require_runnable(*cfg.with_overrides({field: values[0] for field, values in axes}).build())
     _make_output_dir(args.out)
 
-    cells = sweep(lambda overrides: _simulation_inputs(cfg.with_overrides(overrides)), axes)
+    cells = sweep(lambda overrides: cfg.with_overrides(overrides).build(), axes)
     fields = [field for field, _ in axes]
     _write_csv(os.path.join(args.out, "sweep.csv"),
                [*fields, "verdict", "first_violation_time", "terminal_x", "mean_h"],

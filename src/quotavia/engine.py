@@ -58,15 +58,18 @@ from .viability import (
     _binding_recommendation,
     check_viability_domain,
     classify_region,
+    recommendation_floor,
 )
 
 __all__ = [
     "MAX_STEPS",
+    "ConfigError",
     "SimConfig",
     "Sample",
     "Event",
     "TrajectoryRecord",
     "CellResult",
+    "require_runnable",
     "simulate",
     "sweep",
 ]
@@ -118,6 +121,10 @@ EVENT_REGION = "RegionCrossing"
 EVENT_MORATORIUM_START = "MoratoriumStart"
 EVENT_MORATORIUM_END = "MoratoriumEnd"
 EVENT_EXTINCTION = "Extinction"
+
+
+class ConfigError(ValueError):
+    """A refused scenario or run input; the message names the offending field."""
 
 
 @dataclass(frozen=True)
@@ -229,11 +236,44 @@ def _decide(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         qualitative_step(state, classify_region(trend, h, state.recommendation, bounds))
 
 
+def _require_deviation_costs(params: EconParams, user: str) -> None:
+    """The threshold curves, which check, phase and conservative runs use, need a deviation cost."""
+    if params.unmanaged:
+        raise ConfigError(f"[econ] kappa_1, kappa_2: {user} needs a positive deviation "
+                          "cost; with both 0 the threshold curves are undefined")
+
+
+def _require_weighted(params: EconParams, x: float, where: str, error=ConfigError) -> None:
+    """The threshold curves divide by the deviation weight times the stock."""
+    if params.weight * x == 0.0:
+        raise error(f"{where} {x!r} times beta_1 * kappa_2 + beta_2 * kappa_1 underflows to 0")
+
+
+def require_runnable(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
+                     cfg: SimConfig) -> None:
+    """Raise :class:`ConfigError` where a run is undefined: a conservative run
+    without deviation costs, a deviation weight times the stock floor (the
+    viability check) or times a conservative initial stock that underflows to
+    0, or a conservative first floor recommendation that is not finite."""
+    conservative = cfg.settings.strategy is CONSERVATIVE
+    if conservative:
+        _require_deviation_costs(params, "the conservative strategy")
+    if not params.unmanaged:
+        _require_weighted(params, bounds.stock_floor, "[bounds] stock_floor:")
+    if conservative:
+        x = cfg.initial_stock
+        _require_weighted(params, x, "[simulation] initial_stock:")
+        if not math.isfinite(floor := recommendation_floor(params, bounds, x)):
+            raise ConfigError(f"[simulation] initial_stock: {x!r} gives the conservative "
+                              f"strategy a floor recommendation of {floor!r}")
+
+
 def _start(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
            cfg: SimConfig) -> tuple[ControllerState, int, ViabilityVerdict | None]:
     """Controller state and stock trend at t = 0, after the decision taken
     there, and the viability verdict: everything a run computes before its
-    first step, raising what it raises."""
+    first step, once :func:`require_runnable` has passed its inputs."""
+    require_runnable(params, rec, bounds, cfg)
     settings = cfg.settings
     x = cfg.initial_stock
     trend = settings.initial_trend if settings.initial_trend is not None else 1
@@ -260,13 +300,10 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
 
     Every control interval the strategy updates the recommendation from its
     observations; every dt the negotiation outcome is re-evaluated at the
-    current stock and the stock is advanced.  Pathological states surface as
-    events, except that the conservative strategy raises, until these cases
-    get a defined action: ``ValueError: stock must be positive`` at its first
-    decision after an extinction, ``ZeroDivisionError`` where the deviation
-    weight times the stock underflows to 0 (``r = inf`` is recorded where it
-    is subnormal; the CLI refuses both at the initial stock), and
-    ``ValueError`` without deviation costs.
+    current stock and the stock is advanced.  :func:`require_runnable`'s
+    refusals raise :class:`ConfigError`; pathological states surface as
+    events, except ``ValueError: stock must be positive`` at a conservative
+    decision after an extinction, until that gets a defined action.
 
     A step is a pure function of the stock, the recommendation and the
     moratorium flag, since the parameters, recruitment and dt are fixed.  A
@@ -454,8 +491,8 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     ``ControllerState`` stepped through ``qualitative_step``, the first
     floor violation read from the flag arrays, and each recorded harvest
     added to the cell's running total in ``mean_harvest``'s order.  So every
-    cell equals its own ``simulate`` bit for bit.  Where the floor formula
-    is not finite, as at every stock the scalar code raises on, that cell's
+    cell equals its own ``simulate`` bit for bit; a refused one fails in
+    ``_start`` as there.  Where the floor formula is not finite, that cell's
     decision runs the scalar code, and an exception it raises becomes the
     cell's error result; a cell is live while its result is None.
     """

@@ -17,14 +17,10 @@ from enum import Enum
 
 from .control import Strategy, StrategySettings
 from .econ import EconParams, Recruitment
-from .engine import SimConfig
+from .engine import ConfigError, SimConfig
 from .viability import Maturity, ViabilityBounds
 
 __all__ = ["ConfigError", "OutputSettings", "ScenarioConfig"]
-
-
-class ConfigError(ValueError):
-    """Malformed scenario file; the message names the offending field."""
 
 
 @dataclass(frozen=True)

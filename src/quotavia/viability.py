@@ -145,23 +145,25 @@ def _binding_recommendation(params: EconParams, x: float, h: float) -> float:
             - params.price_term / params.weight)
 
 
+def _threshold_curve(params: EconParams, x: float, h: float) -> float:
+    """:func:`_binding_recommendation` where the threshold curves are defined."""
+    _require_stock(x)
+    if params.unmanaged:
+        raise ValueError("threshold curves undefined without deviation costs")
+    return _binding_recommendation(params, x, h)
+
+
 def recommendation_ceiling(params: EconParams, rec: Recruitment, x: float) -> float:
     """Largest recommendation whose negotiated harvest keeps the stock from
     declining at ``x``.  Negative means no admissible recommendation can
     stabilize the stock there."""
-    _require_stock(x)
-    if params.unmanaged:
-        raise ValueError("threshold curves undefined without deviation costs")
-    return _binding_recommendation(params, x, rec.rate(x))
+    return _threshold_curve(params, x, rec.rate(x))
 
 
 def recommendation_floor(params: EconParams, bounds: ViabilityBounds, x: float) -> float:
     """Smallest recommendation whose negotiated harvest reaches the harvest
     floor at ``x``.  Strictly decreasing in the stock."""
-    _require_stock(x)
-    if params.unmanaged:
-        raise ValueError("threshold curves undefined without deviation costs")
-    return _binding_recommendation(params, x, bounds.harvest_floor)
+    return _threshold_curve(params, x, bounds.harvest_floor)
 
 
 def check_viability_domain(params: EconParams, rec: Recruitment,

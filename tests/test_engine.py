@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from quotavia import (
+    ConfigError,
     EconParams,
     Maturity,
     Recruitment,
@@ -25,7 +26,8 @@ from quotavia import (
     total_harvest,
     unmanaged_harvest,
 )
-from quotavia import engine
+from quotavia import engine, scenario
+from quotavia.cli import main
 from quotavia.engine import (
     EVENT_EXTINCTION,
     EVENT_MORATORIUM_END,
@@ -280,7 +282,8 @@ def short_runs(draw):
 @hypothesis.given(run=short_runs())
 def test_simulate_never_raises_and_stays_finite(run):
     # the conservative strategy is left out: its recommendation is undefined
-    # at x = 0 and overflows at subnormal stocks (ROADMAP item 2)
+    # at x = 0 (ROADMAP item 2), and require_runnable refuses the subnormal
+    # initial stocks where it overflows
     record = simulate(*run)
     assert all(math.isfinite(v) for s in record.samples for v in s[:6])
 
@@ -651,8 +654,15 @@ def test_lockstep_matches_simulate_on_special_cells():
     errors = {bits[0][0]: bits[5] for bits in expected if bits[5] is not None}
     assert errors == {
         "extinct": "ValueError: stock must be positive",
-        "underflow": "ZeroDivisionError: float division by zero",
-        "unmanaged-conservative": "ValueError: threshold curves undefined without deviation costs",
+        "underflow": "ConfigError: [simulation] initial_stock: 5e-324 times "
+                     "beta_1 * kappa_2 + beta_2 * kappa_1 underflows to 0",
+        "unmanaged-conservative": "ConfigError: [econ] kappa_1, kappa_2: the conservative "
+                                  "strategy needs a positive deviation cost; with both 0 "
+                                  "the threshold curves are undefined",
+        "conservative-1e-320": "ConfigError: [simulation] initial_stock: 1e-320 gives the "
+                               "conservative strategy a floor recommendation of inf",
+        "conservative-1e-310": "ConfigError: [simulation] initial_stock: 1e-310 gives the "
+                               "conservative strategy a floor recommendation of inf",
     }
     record = simulate(*cells[0][1:])
     assert {e.kind for e in record.events} >= {EVENT_MORATORIUM_START, EVENT_MORATORIUM_END}
@@ -701,8 +711,42 @@ def test_lockstep_reads_recruitment_and_the_floor_formula_as_columns(monkeypatch
     monkeypatch.setattr(Recruitment, "rate", spied_rate)
     monkeypatch.setattr(engine, "_binding_recommendation", spied_floor)
     assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
-    live = (len(cells) - 2,)   # "underflow" and "unmanaged-conservative" fail at t = 0
+    live = (len(cells) - 4,)   # the four cells require_runnable refuses fail at t = 0
     assert calls == {("rate", live, live, live): 4 * 300 + 30, ("floor", live, live, live): 30}
+
+
+def test_library_refuses_what_the_cli_refuses(canonical_scenario_path, tmp_path, capsys):
+    # one place for a run's preconditions: the CLI's refusal of each input,
+    # with its config error text, is what simulate raises and what both
+    # sweep paths record for the cell
+    base = ScenarioConfig.from_file(canonical_scenario_path).with_overrides(
+        {"simulation.horizon": 1.0})
+    cases = [{"econ.kappa_1": 0.0, "econ.kappa_2": 0.0}]
+    cases += [{"econ.kappa_1": 1e-10, "econ.kappa_2": 1e-10, "bounds.stock_floor": 1e-315,
+               "strategy.name": strategy.value} for strategy in Strategy]
+    cases += [{"econ.kappa_1": 0.1, "econ.kappa_2": 0.1, "simulation.initial_stock": stock}
+              for stock in (5e-324, 1e-320, 1e-310)]
+    messages, inputs = [], []
+    for i, overrides in enumerate(cases):
+        cfg = base.with_overrides(overrides)
+        path = tmp_path / f"case{i}.ini"
+        path.write_text(cfg.to_text())
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.endswith("\n")
+        messages.append(err[len("config error: "):-1])
+        inputs.append(cfg.build())
+        with pytest.raises(ConfigError) as info:
+            simulate(*inputs[-1])
+        assert str(info.value) == messages[-1]
+    assert not (tmp_path / "out").exists()
+    assert ConfigError is engine.ConfigError is scenario.ConfigError
+    recorded = [f"ConfigError: {message}" for message in messages]
+    cells = [((i,), *run) for i, run in enumerate(inputs)]
+    assert [cell.error for cell in engine._lockstep(cells)] == recorded
+    assert len(cases) < engine._LOCKSTEP_MIN_CELLS   # sweep runs the cells one by one
+    results = sweep(lambda overrides: inputs[overrides["case"]], [("case", list(range(len(cases))))])
+    assert [cell.error for cell in results] == recorded
 
 
 def test_lockstep_matches_simulate_on_settled_runs(canonical_scenario_path, crisis_scenario_path,
