@@ -75,12 +75,12 @@ __all__ = [
 ]
 
 # Smallest group of cells that a sweep advances in lockstep; smaller ones run
-# simulate cell by cell.  A lockstep step costs 250-300 us at any group size
-# up to a few hundred cells (its numpy calls on small arrays), a scalar step
-# 3.3-4 us per cell.  Measured on random draws of the benchmark's sweep cells
-# (seeds 1 and 2, 200 steps; 2-vCPU VM, Python 3.11, numpy 2.4), the scalar
-# runs took 0.88 of the lockstep time at 64 cells, 1.11 at 80 and 2.3 at 192.
-_LOCKSTEP_MIN_CELLS = 72
+# simulate cell by cell: a lockstep step costs 130-180 us up to a few hundred
+# cells, a scalar step 2.3-2.8 us per cell.  On random draws of the benchmark's
+# sweep cells (seeds 1, 2; 200 steps; min of 15; 2 vCPUs, Python 3.11, numpy
+# 2.4) scalar runs took 0.89-0.98 of the lockstep time at 56 cells, 0.97-1.12
+# at 60, 1.07-1.17 at 64, 1.30-1.39 at 80 and 2.8-3.0 at 192.
+_LOCKSTEP_MIN_CELLS = 60
 
 # Cells a sweep builds, and runs, at a time: what it holds, whatever its size.
 _SWEEP_BATCH = 4096

@@ -48,6 +48,8 @@ _TERMS = {
     "beta_product": lambda a1, a2, b1, b2, k1, k2, p: b1 * b2,
     "cost_term": lambda a1, a2, b1, b2, k1, k2, p: 0.5 * (a1 * b2 + a2 * b1),
     "price_term": lambda a1, a2, b1, b2, k1, k2, p: 0.5 * (b1 + b2) * p,
+    "two_beta_1": lambda a1, a2, b1, b2, k1, k2, p: 2.0 * b1,
+    "two_beta_2": lambda a1, a2, b1, b2, k1, k2, p: 2.0 * b2,
 }
 _FIELDS = ("alpha_1", "alpha_2", "beta_1", "beta_2", "kappa_1", "kappa_2", "price")
 

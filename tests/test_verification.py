@@ -135,6 +135,14 @@ def test_harvest_curve_pointwise_without_points():
     assert harvest_curve(params, [], []).shape == (0,)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 7), (7, 0), (0, 0), (20_000, 0)])
+def test_harvest_curve_grid_without_points(rows, cols):
+    # an empty axis keeps the other's length, in one block or in several
+    params = EconParams(0.5, 3.0, 1.0, 0.4, 2.0, 0.3, 1.5)
+    xs, rs = np.linspace(0.5, 4.0, rows), np.linspace(0.0, 3.0, cols)
+    assert harvest_curve(params, xs, rs).shape == (rows, cols)
+
+
 def test_harvest_curve_numpy_scalar_params_give_the_grid():
     # numpy scalars have ndim 0, so they select the grid as floats do
     values = (0.5, 3.0, 1.0, 0.4, 2.0, 0.3, 1.5)
@@ -148,6 +156,8 @@ def test_harvest_curve_numpy_scalar_params_give_the_grid():
 @pytest.mark.parametrize("rows, cols", [
     (11, 4096),     # several row blocks, the last one short
     (37, 1000),
+    (4, 4096),      # exactly one row block
+    (5, 4096),      # one row past it: two blocks
     (1, 4096),
     (4096, 1),
     (1, 1),
