@@ -29,7 +29,7 @@ Measured, one process, one thread:
   grid built as ``verification.viability_existence_search`` builds it,
   with asymmetric costs, so that every row block holds interior,
   non-deviating and single-group points (the grid whose output
-  ``tests/test_verification.py`` pins);
+  ``tests/test_verification.py`` pins), ``KERNEL_CALLS`` calls per repeat;
 * ``harvest_curve_ns_per_cell``: the ``econ.harvest_curve`` calls of one
   ``engine.sweep`` on the benchmark's 192-cell grid (the lockstep's calls
   on per-cell parameter columns, about four per step of 200 steps),
@@ -113,6 +113,9 @@ NASH_GRID = 100
 UNSETTLED_HORIZON = 40.0
 LONG_SWEEP_DRAWS = 14
 LONG_SWEEP_HORIZON = 20.0
+# harvest_curve calls per repeat of harvest_curve_ns_per_point: one call takes
+# about 4 ms, so a brief swing of the host's speed could set a repeat's time
+KERNEL_CALLS = 8
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -274,6 +277,10 @@ def measure(root: str, repeat: int) -> dict:
             fresh[:] = [(copy.copy(state), *rest)
                         for (state, *rest), _ in calls["qualitative_step"]]
 
+        def kernel_grid():
+            for _ in range(KERNEL_CALLS):
+                econ.harvest_curve(kernel_params, kernel_xs, kernel_rs)
+
         def lockstep_kernel():
             with numpy.errstate(all="ignore"):  # as in the lockstep
                 for args, kwargs in kernel_calls:
@@ -282,8 +289,8 @@ def measure(root: str, repeat: int) -> dict:
         # (name, unit, work units per call, call)
         layers = [
             ("nash_ns_per_solve", "ns", len(points), solves),
-            ("harvest_curve_ns_per_point", "ns", kernel_xs.size * kernel_rs.size,
-             lambda: econ.harvest_curve(kernel_params, kernel_xs, kernel_rs)),
+            ("harvest_curve_ns_per_point", "ns", KERNEL_CALLS * kernel_xs.size * kernel_rs.size,
+             kernel_grid),
             ("harvest_curve_ns_per_cell", "ns",
              sum(numpy.size(args[1]) for args, _ in kernel_calls), lockstep_kernel),
             simulation("canonical", canonical),

@@ -14,6 +14,7 @@ import warnings
 import weakref
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from quotavia import (
 )
 from quotavia import cli
 from quotavia.cli import _parse_grid, main
-from quotavia.viability import _SIGN_TOL
+from quotavia.viability import _SIGN_TOL, phase_blocks
 
 EXPECTED_HEADER = "t,x,r,h,q1,q2,regime,region,maturity,viable_eco,viable_econ"
 
@@ -672,6 +673,8 @@ def phase_cases(draw):
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(case=phase_cases())
 @hypothesis.example(case=PHASE_CASES[-1])
+@hypothesis.example(case=(PHASE_CASES[-1][0],   # restricted shutdown, then non-binding
+                          f"{1 + 4e-12!r}:{1 + 4e-12!r}:0:1:1:2"))
 def test_phase_rows_equal_scalar_solves(canonical_scenario_path, case):
     overrides, grid = case
     cfg = ScenarioConfig.from_file(canonical_scenario_path).with_overrides(overrides)
@@ -679,6 +682,49 @@ def test_phase_rows_equal_scalar_solves(canonical_scenario_path, case):
         warnings.simplefilter("error")
         lines = _phase_lines(cfg, grid)
     assert lines == _scalar_phase_lines(cfg, grid)[0]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(case=phase_cases())
+@hypothesis.example(case=PHASE_CASES[2])            # near the smallest normal float
+@hypothesis.example(case=PHASE_CASES[3])            # curves overflow to inf and nan
+def test_phase_blocks_fix_h_where_the_regime_does(canonical_scenario_path, case):
+    # phase_rows formats a NON_BINDING h once per stock row and prints a
+    # SHUTDOWN_UNPROFITABLE h as "0"; both hold only for these bits
+    overrides, grid = case
+    cfg = ScenarioConfig.from_file(canonical_scenario_path).with_overrides(overrides)
+    non_binding, unprofitable = (list(Regime).index(regime) for regime in
+                                 (Regime.NON_BINDING, Regime.SHUTDOWN_UNPROFITABLE))
+    for block in phase_blocks(cfg.econ, cfg.recruitment, cfg.bounds, *_parse_grid(grid)):
+        bits = block.h.view(np.int64)
+        for row_bits, regimes in zip(bits, block.regime):
+            assert len(set(row_bits[regimes == non_binding].tolist())) <= 1
+        assert not bits[block.regime == unprofitable].any()   # +0.0 alone has no bit set
+
+
+@pytest.mark.parametrize("count", [0, 1, cli._WRITE_LINES - 1, cli._WRITE_LINES,
+                                   cli._WRITE_LINES + 1, 2 * cli._WRITE_LINES + 1])
+def test_write_csv_bytes_equal_writelines(tmp_path, count):
+    lines = [f"{i},{i / 7!r}\n" for i in range(count)]
+    cli._write_csv(str(tmp_path / "blocks.csv"), ["i", "v"], (line for line in lines))
+    with open(tmp_path / "lines.csv", "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("i,v\n")
+        handle.writelines(lines)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "lines.csv").read_bytes()
+
+
+def test_write_csv_streams(tmp_path):
+    # bytes reach the file while the rows are still being produced
+    path, line, sizes = tmp_path / "rows.csv", "x" * 99 + "\n", []
+
+    def rows():
+        for i in range(4 * cli._WRITE_LINES):
+            if i == 3 * cli._WRITE_LINES:
+                sizes.append(path.stat().st_size)
+            yield line
+    cli._write_csv(str(path), ["x"], rows())
+    assert sizes[0] >= cli._WRITE_LINES * len(line)
+    assert path.stat().st_size == len("x\n") + 4 * cli._WRITE_LINES * len(line)
 
 
 class TestSweepCommand:
