@@ -76,7 +76,13 @@ Measured, one process, one thread:
   benchmark's axes with 14 prices and 14 stocks at horizon 20 (588 cells
   of 2,000 steps), where the ensemble's fixed cost per step weighs less
   and a cell can settle; the benchmark's own sweep is too short to show
-  either.
+  either;
+* ``settled_sweep_ns_per_cell_step``: ``engine.sweep`` on 128 memoryless
+  cells of the canonical scenario (conservative and ichthyocentric, 8
+  prices in 5-30, 8 stocks in 0.05-4) at horizon 40, built beforehand,
+  per cell and step of the time grid (4,000 steps); every cell settles on
+  a fixed point by step 1,320, after which the lockstep adds the settled
+  harvests without stepping, so this times the ensemble's settled finish.
 
 This is a tool for before/after numbers, not a test; nothing in it checks
 the outputs (``perfbench/run.py`` does).
@@ -113,6 +119,8 @@ NASH_GRID = 100
 UNSETTLED_HORIZON = 40.0
 LONG_SWEEP_DRAWS = 14
 LONG_SWEEP_HORIZON = 20.0
+SETTLED_SWEEP_AXES = ("strategy.name=conservative|ichthyocentric,econ.price=5:30:8,"
+                      "simulation.initial_stock=0.05:4:8,simulation.horizon=40:40:1")
 # harvest_curve calls per repeat of harvest_curve_ns_per_point: one call takes
 # about 4 ms, so a brief swing of the host's speed could set a repeat's time
 KERNEL_CALLS = 8
@@ -258,6 +266,7 @@ def measure(root: str, repeat: int) -> dict:
 
         long_build, long_axes, long_steps = prebuilt_sweep(
             cli, cfg, sweep_axes(root, LONG_SWEEP_DRAWS, LONG_SWEEP_HORIZON))
+        settled_build, settled_axes, settled_steps = prebuilt_sweep(cli, cfg, SETTLED_SWEEP_AXES)
         calls = captured(engine, ("_rk4", "qualitative_step"),
                          lambda: simulate(*ScenarioConfig.from_file(crisis).build()))
         kernel_calls = captured(engine, ("harvest_curve",),
@@ -314,6 +323,8 @@ def measure(root: str, repeat: int) -> dict:
             ("sweep_ns_per_cell_step", "ns", cell_steps, lambda: engine.sweep(build, axes)),
             ("long_sweep_ns_per_cell_step", "ns", long_steps,
              lambda: engine.sweep(long_build, long_axes)),
+            ("settled_sweep_ns_per_cell_step", "ns", settled_steps,
+             lambda: engine.sweep(settled_build, settled_axes)),
         ]
         prepare = {"decision_ns_per_call": copy_states}
         for name, *_, call in layers:   # one untimed round: lazy imports, caches

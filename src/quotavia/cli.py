@@ -65,20 +65,29 @@ class _FloatText(dict):
         return text
 
 
-def trajectory_rows(samples):
+def trajectory_rows(samples, settled_from=None):
     """Yield the ``trajectory.csv`` line of each sample, the bytes of
     ``"%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\\n"`` (with the
     enums' values and the flags as "true"/"false").
 
     A run that settles repeats its x, r, h, q1 and q2 exactly, so those are
     formatted once per distinct value, through a table that lives for this
-    call only; t is unique per row and formatted per row.  Enum members are
-    read through ``_value_``, the attribute ``Enum`` documents as holding the
+    call only; t is unique per row and formatted per row.  From the sample
+    at index ``settled_from`` on (``TrajectoryRecord.settled_from``) every
+    sample differs from it only in t, so the text after t is taken from that
+    sample's row and each later row formats t alone.  Enum members are read
+    through ``_value_``, the attribute ``Enum`` documents as holding the
     value; ``.value`` is a descriptor call per member."""
     text = _FloatText()
-    for t, x, r, h, q1, q2, regime, region, maturity, eco, econ in samples:
-        yield (f"{t:.17g},{text[x]},{text[r]},{text[h]},{text[q1]},{text[q2]},"
-               f"{regime._value_},{region._value_},{maturity._value_},{_BOOL[eco]},{_BOOL[econ]}\n")
+    head = samples if settled_from is None else samples[:settled_from + 1]
+    for t, x, r, h, q1, q2, regime, region, maturity, eco, econ in head:
+        line = (f"{t:.17g},{text[x]},{text[r]},{text[h]},{text[q1]},{text[q2]},"
+                f"{regime._value_},{region._value_},{maturity._value_},{_BOOL[eco]},{_BOOL[econ]}\n")
+        yield line
+    if settled_from is not None:
+        rest = line[line.index(","):]
+        for sample in itertools.islice(samples, settled_from + 1, None):
+            yield f"{sample[0]:.17g}{rest}"
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -148,7 +157,8 @@ def _cmd_simulate(args) -> int:
     _make_output_dir(out_dir)
     _write_csv(os.path.join(out_dir, cfg.output.trajectory_file),
                ["t", "x", "r", "h", "q1", "q2", "regime", "region",
-                "maturity", "viable_eco", "viable_econ"], trajectory_rows(record.samples))
+                "maturity", "viable_eco", "viable_econ"],
+               trajectory_rows(record.samples, record.settled_from))
     _write_json(os.path.join(out_dir, cfg.output.events_file),
                 [{"t": e.t, "kind": e.kind, **e.detail} for e in record.events])
     summary = summarize(record)

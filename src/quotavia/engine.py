@@ -11,9 +11,12 @@ below 0 sets it to exactly 0 and logs one extinction event; the stock then
 stays at 0, where the negotiation lands no catch.  Within one run, a step
 that exactly repeats the stock, recommendation and moratorium flag of a
 kept earlier step reuses that step's negotiation and Runge-Kutta result,
-the same bits, so a settled run skips most of its solves.  ``sweep``
-advances the cells that share a time grid together, as arrays, through the
-same ``_rk4``, recruitment law and floor formula; ichthyocentric and
+the same bits, so a settled run skips most of its solves.  A run of a
+memoryless strategy that reaches an exact fixed point (``_settled``) stops
+stepping there, canonical.ini at t = 47.70; crisis.ini's 20-step cycle, on
+the qualitative rule table, does not qualify.  ``sweep`` advances the cells
+that share a time grid together, as arrays, through the same ``_rk4``,
+recruitment law, floor formula and fixed-point rule; ichthyocentric and
 conservative cells decide as masks, and each qualitative cell steps its own
 ``ControllerState`` through ``qualitative_step``.  Every cell runs
 ``simulate``'s operations in its order, so its summary is its own run's.
@@ -190,12 +193,14 @@ class TrajectoryRecord:
     During a moratorium the recorded harvest and quotas are the realized
     (zero) ones while ``regime`` keeps reporting what the negotiation at the
     current stock and recommendation would yield, so regime tags always
-    recompute from (x, r).
+    recompute from (x, r).  ``settled_from`` is the index of a settled run's
+    first sample that every later one equals but in t, else None.
     """
 
     samples: list[Sample]
     events: list[Event]
     metadata: dict
+    settled_from: int | None = None
 
     def first_event(self, kind: str) -> Event | None:
         for event in self.events:
@@ -217,6 +222,23 @@ def _rk4(rhs: Callable[[float], float], x: float, dt: float, k1: float) -> float
     k3 = rhs(x + 0.5 * dt * k2)
     k4 = rhs(x + dt * k3)
     return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def _settled(previous, x, x_next):
+    """The fixed-point rule, on stocks or columns of them: a run of a
+    memoryless strategy (not ``QUALITATIVE``: no moratorium, no maturity
+    change) is settled at a decision taken at stock ``x`` if ``x`` equals
+    the previous decision's stock and the decision's step returns ``x``.
+    Every later decision then gives the same recommendation and trend, so
+    every later step repeats this one and no event can fire."""
+    return (x == previous) & (x_next == x)
+
+
+def _recorded_after(k: int, n_steps: int, stride: int):
+    """The steps after step ``k`` that a run records: every ``stride``-th
+    and the last."""
+    steps = range(k - k % stride + stride, n_steps + 1, stride)
+    return steps if n_steps % stride == 0 else [*steps, n_steps]
 
 
 def _decide(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
@@ -313,6 +335,12 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     canonical.ini).  The record is the same bits either way.  Only some
     computed steps are kept for reuse (``_KEEP_EVERY``), and at most
     ``_STEP_TABLE_SIZE`` at once.
+
+    A memoryless run settled at a decision (:func:`_settled`) stops after
+    that decision's step and appends every later sample in bulk, as the
+    settling step's at a later t.  ``TrajectoryRecord.settled_from`` indexes
+    the first sample of that constant tail: the settling step's, or the
+    next recorded one where ``record_stride`` skips it.
     """
     dt = cfg.dt
     n_steps, per_control = cfg.time_grid
@@ -370,14 +398,14 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
 
     r, idle = state.recommendation, state.moratorium
     steps = steps_for(r, idle)
+    memoryless = cfg.settings.strategy is not QUALITATIVE
 
     for k in range(n_steps + 1):
         t = k * dt
         decides = k > 0 and k % per_control == 0
         if decides:
-            raw = x - prev_control_x
-            trend = -1 if raw <= -deadband else 1
-            prev_control_x = x
+            previous, prev_control_x = prev_control_x, x
+            trend = -1 if x - previous <= -deadband else 1
             control_update(t)
             r, idle = state.recommendation, state.moratorium
             steps = steps_for(r, idle)
@@ -429,14 +457,21 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                 steps[x] = q1, q2, h, regime, x_next
                 stored += 1
                 after_reuse = False
+        if decides and memoryless and _settled(previous, x, x_next):
+            break
         # from x = 0 both right-hand sides give exactly 0, so the stock stays there
         if x_next <= 0.0 < x:
             events.append(Event((k + 1) * dt, EVENT_EXTINCTION))
             x_next = 0.0
         x = x_next
 
+    settled_from = None
+    if k < n_steps:     # settled at step k: each later sample is its sample at a later t
+        settled_from = len(samples) - (k % stride == 0)
+        rest = (x, r, h, q1, q2, regime, region, state.maturity, flags[0], flags[1])
+        samples.extend(Sample._make((j * dt,) + rest) for j in _recorded_after(k, n_steps, stride))
     return TrajectoryRecord(samples=samples, events=events,
-                            metadata={"viability_verdict": verdict})
+                            metadata={"viability_verdict": verdict}, settled_from=settled_from)
 
 
 @dataclass(frozen=True)
@@ -495,6 +530,10 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     ``_start`` as there.  Where the floor formula is not finite, that cell's
     decision runs the scalar code, and an exception it raises becomes the
     cell's error result; a cell is live while its result is None.
+
+    An ensemble without qualitative cells stops after the first decision at
+    which :func:`_settled` holds for every cell, failed ones included, and
+    adds each cell's fixed harvest once per sample left, left to right.
     """
     results: list[CellResult | None] = [None] * len(cells)
     live, states, trends = [], [], []
@@ -574,9 +613,10 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     # numpy warns where the scalar code silently computes inf or NaN
     with np.errstate(all="ignore"):
         for k in range(n_steps + 1):
-            if k > 0 and k % per_control == 0:
-                trends = np.where(x - prev_control_x <= -deadband, -1, 1).tolist()
-                prev_control_x = x
+            decides = k > 0 and k % per_control == 0
+            if decides:
+                previous, prev_control_x = prev_control_x, x
+                trends = np.where(x - previous <= -deadband, -1, 1).tolist()
                 decide()
             h = harvest_curve(params, x, r)
             idle = moratorium.any()
@@ -595,6 +635,11 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
                 break
 
             x_next = _rk4(rhs, x, dt, rhs(x, h))
+            if decides and not ruled and _settled(previous, x, x_next).all():
+                for _ in _recorded_after(k, n_steps, stride):
+                    total += h
+                    row += 1
+                break
             np.copyto(x_next, 0.0, where=(x_next <= 0.0) & (x > 0.0))
             x = x_next
 

@@ -416,6 +416,73 @@ def test_emptied_step_tables_keep_the_record(scenario, request, monkeypatch):
     assert record.samples == expected.samples and record.events == expected.events
 
 
+def _record_bits(record):
+    """A record's samples and events with every float as its IEEE bytes."""
+    def pack(value):
+        return _float_bits(value) if isinstance(value, float) else value
+    return ([tuple(map(pack, sample)) for sample in record.samples],
+            [(pack(event.t), event.kind, event.detail) for event in record.events])
+
+
+@pytest.mark.parametrize("strategy", ["conservative", "ichthyocentric"])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("ends", ["at-horizon", "one-step-after-settling"])
+def test_settled_tail_equals_the_stepped_record(strategy, stride, ends, canonical_scenario_path,
+                                                monkeypatch):
+    # a settled run appends its later samples in bulk; with the fixed-point
+    # rule never holding it steps through every one, and the two records are
+    # the same bits, also where the settling step is not recorded (stride 7)
+    cfg = ScenarioConfig.from_file(canonical_scenario_path).with_overrides(
+        {"strategy.name": strategy})
+    settling = simulate(*cfg.build()).settled_from    # at stride 1 the settling step
+    assert settling is not None
+    overrides = {"simulation.record_stride": stride}
+    if ends == "one-step-after-settling":
+        overrides["simulation.horizon"] = (settling + 1) * cfg.simulation.dt
+    cfg = cfg.with_overrides(overrides)
+    assert cfg.simulation.time_grid[0] > settling
+    record = simulate(*cfg.build())
+    monkeypatch.setattr(engine, "_settled", lambda *args: False)
+    stepped = simulate(*cfg.build())
+    assert stepped.settled_from is None
+    assert _record_bits(record) == _record_bits(stepped)
+    tail = record.samples[record.settled_from:]
+    assert len({sample[1:] for sample in tail}) == 1
+    first = round(tail[0].t / cfg.simulation.dt)
+    assert first == settling if settling % stride == 0 else settling < first <= settling + stride
+
+
+@pytest.mark.parametrize("scenario, settled_from", [("canonical", 4_770), ("crisis", None)])
+def test_settled_tail_starts_where_the_run_settles(scenario, settled_from, request):
+    # canonical.ini settles on a fixed point at t = 47.70; crisis.ini, on the
+    # qualitative rule table, cycles and never settles under the rule
+    cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
+    record = simulate(*cfg.build())
+    assert record.settled_from == settled_from
+    if settled_from is not None:
+        assert record.samples[settled_from].t == 47.7
+
+
+def test_the_rule_table_never_settles(symmetric_params, logistic):
+    # a moratorium from t = 0 (a catch of 0.6 below the floor of 1 in a
+    # stock read as declining) at the capacity holds the stock exactly
+    # still, yet the qualitative controller counts growing intervals and
+    # lifts it; the fixed-point rule is for memoryless strategies alone, on
+    # both paths
+    floors = ViabilityBounds(stock_floor=1.0, harvest_floor=1.0)
+    cfg = SimConfig(initial_stock=logistic.capacity, dt=0.01, horizon=2.0, control_interval=0.1,
+                    settings=settings(Strategy.QUALITATIVE, initial_recommendation=0.0,
+                                      initial_maturity=Maturity.MATURE, initial_trend=-1))
+    record = simulate(symmetric_params, logistic, floors, cfg)
+    assert record.settled_from is None
+    switches = [(e.t, e.kind) for e in record.events
+                if e.kind in (EVENT_MORATORIUM_START, EVENT_MORATORIUM_END)]
+    assert switches[:2] == [(0.0, EVENT_MORATORIUM_START), (0.5, EVENT_MORATORIUM_END)]
+    assert {s.x for s in record.samples[:51]} == {logistic.capacity}
+    cells = [((), symmetric_params, logistic, floors, cfg)]
+    assert [_bits(cell) for cell in engine._lockstep(cells)] == _scalar(cells)
+
+
 def test_record_stride_keeps_terminal_sample(symmetric_params, logistic, floors):
     cfg = SimConfig(initial_stock=1.2, settings=settings(), dt=0.01,
                     horizon=20.0, control_interval=0.1, record_stride=7)
@@ -771,6 +838,33 @@ def test_lockstep_matches_simulate_on_settled_runs(canonical_scenario_path, cris
     expected = _scalar(cells)
     assert computed < len(cells) * 20_000 // 4
     assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_lockstep_finishes_once_every_cell_settles(stride, canonical_scenario_path, monkeypatch):
+    # an ensemble of memoryless cells stops stepping once every cell has
+    # settled (these by step 1,320 of 20,000) and adds each cell's fixed
+    # harvest once per sample left; every cell is still its own simulate
+    base = ScenarioConfig.from_file(canonical_scenario_path)
+    cells = [((strategy, price, stock), *base.with_overrides(
+                 {"strategy.name": strategy, "econ.price": price, "simulation.initial_stock": stock,
+                  "simulation.record_stride": stride}).build())
+             for strategy in ("conservative", "ichthyocentric")
+             for price in (5.0, 8.0, 12.0, 20.0, 30.0)
+             for stock in (0.05, 0.5, 1.0, 2.0, 3.0, 4.0)]
+    assert len(cells) >= engine._LOCKSTEP_MIN_CELLS
+    expected = _scalar(cells)
+    computed = 0
+    rk4 = engine._rk4
+
+    def counted(*args):
+        nonlocal computed
+        computed += 1
+        return rk4(*args)
+
+    monkeypatch.setattr(engine, "_rk4", counted)
+    assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
+    assert computed < cells[0][4].time_grid[0] // 10
 
 
 def test_run_group_on_both_sides_of_the_crossover(monkeypatch):

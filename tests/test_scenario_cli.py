@@ -484,19 +484,44 @@ def sample_records(draw):
             for _ in range(draw(st.integers(0, 12)))]
 
 
+@st.composite
+def settled_records(draw):
+    """Samples as :func:`sample_records` draws them, maybe followed by a
+    settled run's constant tail: one sample, from the draw or holding -0.0
+    values, repeated with other t; and the index where that tail starts, or
+    None."""
+    samples = draw(sample_records())
+    if not draw(st.booleans()):
+        return samples, None
+    if samples and draw(st.booleans()):
+        settled_from = draw(st.integers(0, len(samples) - 1))
+        fixed = samples[settled_from]
+        samples = samples[:settled_from]
+    else:
+        settled_from = len(samples)
+        fixed = Sample(0.0, -0.0, 0.0, -0.0, draw(st.sampled_from([0.0, -0.0, 0.25])), -0.0,
+                       draw(st.sampled_from(Regime)), draw(st.sampled_from(Region)),
+                       draw(st.sampled_from(Maturity)), draw(st.booleans()), draw(st.booleans()))
+    times = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    return samples + [fixed._replace(t=t) for t in times], settled_from
+
+
 def _column(*values):
     return [Sample(0.5, v, v, v, v, v, Regime.BINDING, Region.R1_GROWING_ABOVE_FLOOR,
                    Maturity.EMERGING, True, False) for v in values]
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(samples=sample_records())
-@hypothesis.example(samples=_column(0.0, -0.0, 0.0))
-@hypothesis.example(samples=_column(-0.0, 0.0, -0.0))
-@hypothesis.example(samples=_column(math.nan, _twin(math.nan), -math.nan, math.nan))
-@hypothesis.example(samples=_column(5e-324, _twin(5e-324), -5e-324, math.inf, -math.inf))
-def test_trajectory_rows_equal_the_row_template(samples):
-    assert list(cli.trajectory_rows(samples)) == [_reference_line(s) for s in samples]
+@hypothesis.given(record=settled_records())
+@hypothesis.example(record=(_column(0.0, -0.0, 0.0), None))
+@hypothesis.example(record=(_column(-0.0, 0.0, -0.0), None))
+@hypothesis.example(record=(_column(math.nan, _twin(math.nan), -math.nan, math.nan), None))
+@hypothesis.example(record=(_column(5e-324, _twin(5e-324), -5e-324, math.inf, -math.inf), None))
+@hypothesis.example(record=(_column(0.0, -0.0) + [s._replace(t=t) for s in _column(-0.0)
+                                                   for t in (0.5, 0.75, -0.0, 1e300)], 2))
+def test_trajectory_rows_equal_the_row_template(record):
+    samples, settled_from = record
+    assert list(cli.trajectory_rows(samples, settled_from)) == [_reference_line(s) for s in samples]
 
 
 class TestPhaseCommand:
