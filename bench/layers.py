@@ -37,18 +37,19 @@ Measured, one process, one thread:
   the lockstep's fixed cost per kernel call;
 * ``simulate_ns_per_step_{canonical,crisis}``: ``engine.simulate`` on the
   shipped scenario, per step of its time grid (20,000 steps; both runs
-  settle, and ``simulate`` reuses exactly repeated steps, so it computes
-  only 4,753 and 5,354 of them);
+  repeat, canonical.ini on a fixed point and crisis.ini on a cycle, and
+  ``simulate`` steps only to the end of the first repeated period and
+  builds the rest of the record from it);
 * ``simulate_ns_per_step_unsettled``: ``engine.simulate`` on canonical.ini
-  at horizon 40, which ends before the run's first repeated step
-  (t = 47.51), so every step is computed and the reuse table's misses
-  are in the time (4,000 steps);
+  at horizon 40, which ends before the run's state first repeats, so
+  every step is computed and the repeat rule's lookups are in the time
+  (4,000 steps);
 * ``rk4_ns_per_step``: the ``engine._rk4`` calls of one crisis
   ``simulate``, captured and replayed, per call (one RK4 step: stages 2-4,
   each a Nash solve unless the stock only regrows; the replayed stages
   solve at the run's final recommendation, which their closures read).
-  Only computed steps call ``_rk4``, so since ``simulate`` reuses repeated
-  steps this replays 5,354 calls, against 20,000 before;
+  ``simulate`` calls ``_rk4`` only up to the end of the run's first
+  repeated period, so this replays those calls, not 20,000;
 * ``decision_ns_per_call``: the ``engine.qualitative_step`` calls of that
   run, captured and replayed, per call (one controller decision), each on a
   ``copy.copy`` of the state it was called with, copied before the timing;

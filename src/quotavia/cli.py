@@ -66,28 +66,36 @@ class _FloatText(dict):
 
 
 def trajectory_rows(samples, settled_from=None):
-    """Yield the ``trajectory.csv`` line of each sample, the bytes of
+    """The ``trajectory.csv`` line of each sample, as an iterator: the bytes of
     ``"%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\\n"`` (with the
     enums' values and the flags as "true"/"false").
 
-    A run that settles repeats its x, r, h, q1 and q2 exactly, so those are
+    A repeating run returns to the same x, r, h, q1 and q2, so those are
     formatted once per distinct value, through a table that lives for this
-    call only; t is unique per row and formatted per row.  From the sample
-    at index ``settled_from`` on (``TrajectoryRecord.settled_from``) every
-    sample differs from it only in t, so the text after t is taken from that
-    sample's row and each later row formats t alone.  Enum members are read
-    through ``_value_``, the attribute ``Enum`` documents as holding the
-    value; ``.value`` is a descriptor call per member."""
+    call only; t is unique per row and formatted per row.  With
+    ``settled_from = (first, period)`` (``TrajectoryRecord.settled_from``)
+    the text after t of the rows ``first`` to ``first + period - 1`` is
+    formatted once, each later row but the last takes it from the row
+    ``period`` before and formats t alone, and the last row is formatted in
+    full.  Enum members are read through ``_value_``, the attribute ``Enum``
+    documents as holding the value; ``.value`` is a descriptor call per
+    member."""
     text = _FloatText()
-    head = samples if settled_from is None else samples[:settled_from + 1]
-    for t, x, r, h, q1, q2, regime, region, maturity, eco, econ in head:
-        line = (f"{t:.17g},{text[x]},{text[r]},{text[h]},{text[q1]},{text[q2]},"
-                f"{regime._value_},{region._value_},{maturity._value_},{_BOOL[eco]},{_BOOL[econ]}\n")
-        yield line
-    if settled_from is not None:
-        rest = line[line.index(","):]
-        for sample in itertools.islice(samples, settled_from + 1, None):
-            yield f"{sample[0]:.17g}{rest}"
+
+    def lines(part):
+        for t, x, r, h, q1, q2, regime, region, maturity, eco, econ in part:
+            yield (f"{t:.17g},{text[x]},{text[r]},{text[h]},{text[q1]},{text[q2]},"
+                   f"{regime._value_},{region._value_},{maturity._value_},"
+                   f"{_BOOL[eco]},{_BOOL[econ]}\n")
+
+    if settled_from is None:
+        return lines(samples)
+    first, period = settled_from
+    window = lines(samples[first:first + period])
+    rests = itertools.cycle([line[line.index(","):] for line in window])
+    tail = (f"{sample[0]:.17g}{rest}"
+            for sample, rest in zip(itertools.islice(samples, first, len(samples) - 1), rests))
+    return itertools.chain(lines(itertools.islice(samples, first)), tail, lines(samples[-1:]))
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

@@ -8,15 +8,11 @@ the stock itself that is recorded for the step's sample.  Violations of the
 viability floors, region crossings, moratorium transitions and extinction
 are recorded as time-stamped events.  A step that takes the stock to or
 below 0 sets it to exactly 0 and logs one extinction event; the stock then
-stays at 0, where the negotiation lands no catch.  Within one run, a step
-that exactly repeats the stock, recommendation and moratorium flag of a
-kept earlier step reuses that step's negotiation and Runge-Kutta result,
-the same bits, so a settled run skips most of its solves.  A run of a
-memoryless strategy that reaches an exact fixed point (``_settled``) stops
-stepping there, canonical.ini at t = 47.70; crisis.ini's 20-step cycle, on
-the qualitative rule table, does not qualify.  ``sweep`` advances the cells
-that share a time grid together, as arrays, through the same ``_rk4``,
-recruitment law, floor formula and fixed-point rule; ichthyocentric and
+stays at 0, where the negotiation lands no catch.  A run whose state repeats
+exactly at a decision builds the rest of its record from one period
+(``simulate``).  ``sweep`` advances the cells that share a time grid
+together, as arrays, through the same ``_rk4``, recruitment law, floor
+formula and the repeat rule's fixed points; ichthyocentric and
 conservative cells decide as masks, and each qualitative cell steps its own
 ``ControllerState`` through ``qualitative_step``.  Every cell runs
 ``simulate``'s operations in its order, so its summary is its own run's.
@@ -88,24 +84,16 @@ _LOCKSTEP_MIN_CELLS = 60
 # Cells a sweep builds, and runs, at a time: what it holds, whatever its size.
 _SWEEP_BATCH = 4096
 
-# Steps one simulate run keeps for reuse; its tables are emptied when they
-# hold this many.  The repeats seen are short: canonical.ini settles on a
-# fixed point and crisis.ini on a 20-step cycle, so a bound far above that
-# loses next to no repeat, and a run that never settles holds at most this
-# many steps.  A step takes about 180 bytes (the table slot, the 5-tuple and
-# the floats it alone keeps; measured with tracemalloc on a canonical.ini
-# run that records every 1,000th step), so the tables stay under 0.8 MB.
-_STEP_TABLE_SIZE = 4096
-
-# A run keeps every _KEEP_EVERY-th computed step, and the first computed
-# step after a reused one, since keeping a step costs more than looking one
-# up.  A fixed point is then kept within _KEEP_EVERY steps, and a cycle's
-# kept run grows by a step per pass.  On canonical.ini at horizon 40, which
-# never repeats, keeping every step made simulate 5-9% slower than with no
-# table, this rule 2-3% (the two timed in one process, alternated; 2-vCPU
-# VM, Python 3.11); the shipped scenarios compute 4,753 and 5,354 of their
-# 20,000 steps, against 4,752 and 5,297 when every step is kept.
-_KEEP_EVERY = 16
+# Decision states one simulate run keeps to find a repeat; the dict is
+# emptied when it holds more.  The repeats seen are short (canonical.ini's
+# fixed point, one control interval; crisis.ini's 20-step cycle), so a bound
+# far above them delays none, and a run that never repeats holds at most
+# this many.  A state takes about 200 bytes (the dict slot, the key tuple
+# and the float it alone keeps; measured with tracemalloc on canonical.ini
+# at horizon 40.95 with a decision every step, which never repeats), so the
+# dict stays near 0.8 MB, 1.1 MB while it last resizes.  At 0 no state is
+# kept and every run steps to its end.
+_REPEAT_KEYS = 4096
 
 # Deadband below which a floor comparison does not flip the viability flag;
 # keeps an exactly-on-the-floor trajectory from flickering events.
@@ -193,14 +181,16 @@ class TrajectoryRecord:
     During a moratorium the recorded harvest and quotas are the realized
     (zero) ones while ``regime`` keeps reporting what the negotiation at the
     current stock and recommendation would yield, so regime tags always
-    recompute from (x, r).  ``settled_from`` is the index of a settled run's
-    first sample that every later one equals but in t, else None.
+    recompute from (x, r).  ``settled_from`` is ``(first, period)`` for a
+    run that repeats (``simulate``), else None: from index ``first + period``
+    on, every sample equals the one ``period`` samples before it in all but
+    t, except a last sample that falls off the record stride.
     """
 
     samples: list[Sample]
     events: list[Event]
     metadata: dict
-    settled_from: int | None = None
+    settled_from: tuple[int, int] | None = None
 
     def first_event(self, kind: str) -> Event | None:
         for event in self.events:
@@ -222,16 +212,6 @@ def _rk4(rhs: Callable[[float], float], x: float, dt: float, k1: float) -> float
     k3 = rhs(x + 0.5 * dt * k2)
     k4 = rhs(x + dt * k3)
     return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
-def _settled(previous, x, x_next):
-    """The fixed-point rule, on stocks or columns of them: a run of a
-    memoryless strategy (not ``QUALITATIVE``: no moratorium, no maturity
-    change) is settled at a decision taken at stock ``x`` if ``x`` equals
-    the previous decision's stock and the decision's step returns ``x``.
-    Every later decision then gives the same recommendation and trend, so
-    every later step repeats this one and no event can fire."""
-    return (x == previous) & (x_next == x)
 
 
 def _recorded_after(k: int, n_steps: int, stride: int):
@@ -327,20 +307,19 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     events, except ``ValueError: stock must be positive`` at a conservative
     decision after an extinction, until that gets a defined action.
 
-    A step is a pure function of the stock, the recommendation and the
-    moratorium flag, since the parameters, recruitment and dt are fixed.  A
-    step that repeats all three exactly, bit for bit, reuses the solves and
-    the RK4 stages of the step it repeats, so a run that settles on a fixed
-    point or a cycle computes few of its steps (4,753 of 20,000 on
-    canonical.ini).  The record is the same bits either way.  Only some
-    computed steps are kept for reuse (``_KEEP_EVERY``), and at most
-    ``_STEP_TABLE_SIZE`` at once.
-
-    A memoryless run settled at a decision (:func:`_settled`) stops after
-    that decision's step and appends every later sample in bulk, as the
-    settling step's at a later t.  ``TrajectoryRecord.settled_from`` indexes
-    the first sample of that constant tail: the settling step's, or the
-    next recorded one where ``record_stride`` skips it.
+    Every later step is a pure function of the run's state at a decision,
+    before the decision is made: the stock, the previous decision's stock,
+    the recommendation with its sign, the controller's moratorium, maturity
+    and growth streak, the region and the previous step's flags.  If that
+    state at decision step k equals the state at an earlier decision step s,
+    the run from k on repeats steps s..k-1 with period P = k - s; a fixed
+    point is P = one control interval.  The run then steps on to k + P - 1
+    only, recording every step of that window, and builds the rest of the
+    record from it: the sample at step j >= k is the window's at
+    (j - k) % P, at t = j * dt, and each window event at step i recurs at
+    step i + m * P, at t = (i + m * P) * dt.  The record is the same bits as
+    the stepped one.  A dict keyed by the state finds the first repeat; it
+    keeps at most ``_REPEAT_KEYS`` states.
     """
     dt = cfg.dt
     n_steps, per_control = cfg.time_grid
@@ -379,45 +358,32 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     region = R0  # replaced at k = 0
     prev_flags: tuple[bool, bool] | None = None
     stride = cfg.record_stride
-
-    # Computed steps kept for reuse, as (q1, q2, h, regime, RK4 stock before
-    # the extinction clamp).  The recommendation and the moratorium flag
-    # change only at a decision, so each (r, sign of r, flag) has its own
-    # table, chosen once per decision, and a step looks up its stock alone.
-    # The sign keeps r = -0.0 apart from +0.0, which compare equal.  The
-    # stock is never -0.0: it starts positive, the clamp sets exactly 0.0,
-    # and from 0.0 the RK4 sum is 0.0 + 0.0.  A NaN matches a key only as
-    # the same object (dicts test identity before equality), so the same
-    # bits.
-    tables: dict[tuple[float, float, bool], dict] = {}
-    stored = 0
-    after_reuse = False
-
-    def steps_for(r: float, moratorium: bool) -> dict:
-        return tables.setdefault((r, math.copysign(1.0, r), moratorium), {})
-
     r, idle = state.recommendation, state.moratorium
-    steps = steps_for(r, idle)
-    memoryless = cfg.settings.strategy is not QUALITATIVE
+    # The sign keeps r = -0.0 apart from +0.0, which compare equal; the stock
+    # is never -0.0 (it starts positive, the extinction clamp sets 0.0, and
+    # from 0.0 the RK4 sum is 0.0 + 0.0).  A NaN matches a key only as the
+    # same object (dicts test identity before equality), so the same bits.
+    seen: dict[tuple, int] = {}
+    last = end = n_steps    # every step from last on is recorded; the loop stops at end
 
     for k in range(n_steps + 1):
         t = k * dt
         decides = k > 0 and k % per_control == 0
         if decides:
+            start = seen.setdefault((x, prev_control_x, r, math.copysign(1.0, r), idle,
+                                     state.maturity, state.growth_streak, region, prev_flags), k)
+            if len(seen) > _REPEAT_KEYS:
+                seen.clear()
+            if start < k and end == n_steps and 2 * k - start <= n_steps:
+                last, end, first_window_event = k, 2 * k - start - 1, len(events)
             previous, prev_control_x = prev_control_x, x
             trend = -1 if x - previous <= -deadband else 1
             control_update(t)
             r, idle = state.recommendation, state.moratorium
-            steps = steps_for(r, idle)
 
-        step = steps.get(x)
-        if step is None:
-            q1, q2, h, regime = _nash_point(params, x, r)
-            if idle:
-                q1 = q2 = h = 0.0
-        else:
-            q1, q2, h, regime, x_next = step
-            after_reuse = True
+        q1, q2, h, regime = _nash_point(params, x, r)
+        if idle:
+            q1 = q2 = h = 0.0
 
         if k == 0 or decides:
             new_region = classify_region(trend, h, r, bounds)
@@ -436,29 +402,18 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                     events.append(Event(t, EVENT_RECOVERY, {"which": which}))
         prev_flags = flags
 
-        if k % stride == 0 or k == n_steps:
+        if k % stride == 0 or k >= last:
             # _make, the documented constructor from an iterable, skips the
             # keyword handling of Sample(...)
             samples.append(Sample._make((t, x, r, h, q1, q2, regime,
                                          region, state.maturity, flags[0], flags[1])))
-        if k == n_steps:
+        if k == end:
             break
 
-        if step is None:
-            if idle:
-                x_next = _rk4(regrowth, x, dt, regrowth(x))
-            else:
-                x_next = _rk4(closed_loop, x, dt, growth * x * (1.0 - x / capacity) - h)
-            if after_reuse or k % _KEEP_EVERY == 0:
-                if stored == _STEP_TABLE_SIZE:
-                    tables.clear()
-                    stored = 0
-                    steps = steps_for(r, idle)
-                steps[x] = q1, q2, h, regime, x_next
-                stored += 1
-                after_reuse = False
-        if decides and memoryless and _settled(previous, x, x_next):
-            break
+        if idle:
+            x_next = _rk4(regrowth, x, dt, regrowth(x))
+        else:
+            x_next = _rk4(closed_loop, x, dt, growth * x * (1.0 - x / capacity) - h)
         # from x = 0 both right-hand sides give exactly 0, so the stock stays there
         if x_next <= 0.0 < x:
             events.append(Event((k + 1) * dt, EVENT_EXTINCTION))
@@ -466,10 +421,17 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         x = x_next
 
     settled_from = None
-    if k < n_steps:     # settled at step k: each later sample is its sample at a later t
-        settled_from = len(samples) - (k % stride == 0)
-        rest = (x, r, h, q1, q2, regime, region, state.maturity, flags[0], flags[1])
-        samples.extend(Sample._make((j * dt,) + rest) for j in _recorded_after(k, n_steps, stride))
+    if end < n_steps:   # steps last..end are one period of the rest of the run
+        period = end + 1 - last
+        window = [sample[1:] for sample in samples[-period:]]
+        del samples[-period:]
+        settled_from = (len(samples), period // math.gcd(period, stride))
+        samples.extend(Sample._make((j * dt,) + window[(j - last) % period])
+                       for j in _recorded_after(last - 1, n_steps, stride))
+        recurring = [(round(e.t / dt), e) for e in events[first_window_event:]]
+        events.extend(Event((i + shift) * dt, e.kind, dict(e.detail))
+                      for shift in range(period, n_steps + 1 - last, period)
+                      for i, e in recurring if i + shift <= n_steps)
     return TrajectoryRecord(samples=samples, events=events,
                             metadata={"viability_verdict": verdict}, settled_from=settled_from)
 
@@ -532,8 +494,11 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     cell's error result; a cell is live while its result is None.
 
     An ensemble without qualitative cells stops after the first decision at
-    which :func:`_settled` holds for every cell, failed ones included, and
-    adds each cell's fixed harvest once per sample left, left to right.
+    which every cell, failed ones included, is at the stock of the previous
+    decision and the step returns it, and adds each cell's fixed harvest
+    once per sample left, left to right.  That is ``simulate``'s repeat
+    rule with P = one control interval, found an interval early: a
+    memoryless decision reads the stock alone.
     """
     results: list[CellResult | None] = [None] * len(cells)
     live, states, trends = [], [], []
@@ -635,7 +600,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
                 break
 
             x_next = _rk4(rhs, x, dt, rhs(x, h))
-            if decides and not ruled and _settled(previous, x, x_next).all():
+            if decides and not ruled and ((x == previous) & (x_next == x)).all():
                 for _ in _recorded_after(k, n_steps, stride):
                     total += h
                     row += 1

@@ -1,6 +1,7 @@
 """Simulation engine: integration accuracy, events, determinism, sweeps."""
 
 import collections
+import functools
 import itertools
 import math
 import os
@@ -309,13 +310,12 @@ def test_determinism(symmetric_params, logistic, floors):
 
 
 @pytest.mark.parametrize("scenario, overrides, solves", [
-    # both shipped runs settle, and an exact repeat of a kept step's stock,
-    # recommendation and moratorium flag reuses it without a solve:
-    # canonical.ini computes 4,753 of its 20,000 steps, crisis.ini 5,354
-    pytest.param("canonical", {}, 19_012, id="canonical-19012"),
-    pytest.param("crisis", {}, 23_267, id="crisis-23267"),
-    # canonical.ini first repeats a step at t = 47.51: before that, every
-    # step is computed, 4 solves each, plus the last sample's
+    # both shipped runs repeat, and each steps only to the end of its first
+    # repeated period: canonical.ini to step 4,789, crisis.ini to step 5,329
+    pytest.param("canonical", {}, 19_157, id="canonical-19157"),
+    pytest.param("crisis", {}, 21_700, id="crisis-21700"),
+    # canonical.ini first repeats at t = 47.80: before that, every step is
+    # computed, 4 solves each, plus the last sample's
     pytest.param("canonical", {"simulation.horizon": 40.0}, 4 * 4_000 + 1, id="unsettled-16001"),
     # a subnormal stock takes the same single recorded solve per step
     pytest.param("canonical", {"strategy.name": "qualitative", "simulation.initial_stock": 1e-310,
@@ -380,11 +380,28 @@ def test_every_step_replays_from_its_sample(scenario, request):
     assert (idle > 0) == (scenario == "crisis")     # the moratorium branch replayed too
 
 
+def _record_bits(record):
+    """A record's samples and events with every float as its IEEE bytes."""
+    def pack(value):
+        return _float_bits(value) if isinstance(value, float) else value
+    return ([tuple(map(pack, sample)) for sample in record.samples],
+            [(pack(event.t), event.kind, event.detail) for event in record.events])
+
+
+def _stepped(inputs, monkeypatch):
+    """The run of ``inputs`` with the repeat rule off: every step stepped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_REPEAT_KEYS", 0)
+        record = simulate(*inputs)
+    assert record.settled_from is None
+    return record
+
+
 @pytest.mark.parametrize("flip", ["zero-sign", "moratorium"])
-def test_reuse_tells_every_input_apart(flip, logistic, floors, monkeypatch):
+def test_the_repeat_rule_tells_every_input_apart(flip, logistic, floors, monkeypatch):
     # at one unchanging stock each decision flips the sign of r = 0.0, which
     # compares equal to its negation, or the moratorium flag; a solve that
-    # tells the inputs apart must be seen to run on each
+    # tells the inputs apart shows a period of two intervals, not one
     def solve(params, x, r):
         return math.copysign(1.0, r), 0.0, 0.0, engine.Regime.SHUTDOWN_UNPROFITABLE
 
@@ -398,7 +415,11 @@ def test_reuse_tells_every_input_apart(flip, logistic, floors, monkeypatch):
     monkeypatch.setattr(engine, "_decide", decide)
     cfg = SimConfig(initial_stock=logistic.capacity, dt=0.01, horizon=1.0, control_interval=0.1,
                     settings=settings(Strategy.QUALITATIVE, initial_recommendation=0.0))
-    samples = simulate(EconParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0), logistic, floors, cfg).samples
+    inputs = EconParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0), logistic, floors, cfg
+    record = simulate(*inputs)
+    assert record.settled_from == (30, 20)
+    assert _record_bits(record) == _record_bits(_stepped(inputs, monkeypatch))
+    samples = record.samples
     assert {s.x for s in samples} == {logistic.capacity}
     flipped = -1.0 if flip == "zero-sign" else 0.0
     assert [_float_bits(s.q_1) for s in samples] == [
@@ -406,80 +427,89 @@ def test_reuse_tells_every_input_apart(flip, logistic, floors, monkeypatch):
 
 
 @pytest.mark.parametrize("scenario", ["canonical", "crisis"])
-def test_emptied_step_tables_keep_the_record(scenario, request, monkeypatch):
-    # a bound below crisis.ini's 20-step cycle empties the tables over and
-    # over; the record stays the same bits
+def test_emptied_repeat_dict_keeps_the_record(scenario, request, monkeypatch):
+    # a bound of 7 states empties the dict over and over, so the repeat is
+    # found later; the record stays the same bits
     cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
     expected = simulate(*cfg.build())
-    monkeypatch.setattr(engine, "_STEP_TABLE_SIZE", 7)
+    monkeypatch.setattr(engine, "_REPEAT_KEYS", 7)
     record = simulate(*cfg.build())
-    assert record.samples == expected.samples and record.events == expected.events
+    assert record.settled_from is not None
+    assert _record_bits(record) == _record_bits(expected)
 
 
-def _record_bits(record):
-    """A record's samples and events with every float as its IEEE bytes."""
-    def pack(value):
-        return _float_bits(value) if isinstance(value, float) else value
-    return ([tuple(map(pack, sample)) for sample in record.samples],
-            [(pack(event.t), event.kind, event.detail) for event in record.events])
+@functools.cache
+def _repeat_at_stride_1(cfg):
+    return simulate(*cfg.build()).settled_from
 
 
-@pytest.mark.parametrize("strategy", ["conservative", "ichthyocentric"])
-@pytest.mark.parametrize("stride", [1, 7])
-@pytest.mark.parametrize("ends", ["at-horizon", "one-step-after-settling"])
-def test_settled_tail_equals_the_stepped_record(strategy, stride, ends, canonical_scenario_path,
+@pytest.mark.parametrize("scenario, strategy", [
+    ("canonical", "conservative"), ("canonical", "ichthyocentric"),
+    ("canonical", "qualitative"), ("crisis", "qualitative")])
+@pytest.mark.parametrize("stride", [1, 7, 20])
+@pytest.mark.parametrize("ends", ["at-horizon", "mid-period", "one-step-after-the-window"])
+def test_settled_tail_equals_the_stepped_record(scenario, strategy, stride, ends, request,
                                                 monkeypatch):
-    # a settled run appends its later samples in bulk; with the fixed-point
-    # rule never holding it steps through every one, and the two records are
-    # the same bits, also where the settling step is not recorded (stride 7)
-    cfg = ScenarioConfig.from_file(canonical_scenario_path).with_overrides(
-        {"strategy.name": strategy})
-    settling = simulate(*cfg.build()).settled_from    # at stride 1 the settling step
-    assert settling is not None
+    # a repeating run builds its later samples and events from one period;
+    # with the rule off it steps through every one, and the two records are
+    # the same bits: at strides that do not divide the period (7) or that
+    # skip the repeat's first step, with a last sample off the stride
+    # (20,000 % 7 = 1), on a horizon that ends mid-period or one step after
+    # the window, and on the qualitative cycles, whose windows hold events
+    cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
+    cfg = cfg.with_overrides({"strategy.name": strategy})
+    start, period = _repeat_at_stride_1(cfg)    # in steps
     overrides = {"simulation.record_stride": stride}
-    if ends == "one-step-after-settling":
-        overrides["simulation.horizon"] = (settling + 1) * cfg.simulation.dt
+    if ends != "at-horizon":
+        steps = start + period + (period // 2 + 3 if ends == "mid-period" else 0)
+        overrides["simulation.horizon"] = steps * cfg.simulation.dt
     cfg = cfg.with_overrides(overrides)
-    assert cfg.simulation.time_grid[0] > settling
-    record = simulate(*cfg.build())
-    monkeypatch.setattr(engine, "_settled", lambda *args: False)
-    stepped = simulate(*cfg.build())
-    assert stepped.settled_from is None
-    assert _record_bits(record) == _record_bits(stepped)
-    tail = record.samples[record.settled_from:]
-    assert len({sample[1:] for sample in tail}) == 1
-    first = round(tail[0].t / cfg.simulation.dt)
-    assert first == settling if settling % stride == 0 else settling < first <= settling + stride
+    n_steps = cfg.simulation.time_grid[0]
+    assert n_steps >= start + period
+    inputs = cfg.build()
+    record = simulate(*inputs)
+    assert _record_bits(record) == _record_bits(_stepped(inputs, monkeypatch))
+    first, samples_period = record.settled_from
+    assert samples_period == period // math.gcd(period, stride)
+    tail = record.samples[first:]
+    step = round(tail[0].t / cfg.simulation.dt)
+    assert start <= step < start + stride and step % stride == 0
+    assert all(sample[1:] == tail[i][1:] for i, sample in enumerate(tail[samples_period:-1]))
+    if ends == "at-horizon":
+        assert (n_steps % stride == 1) == (stride == 7)
+        assert any(event.t >= tail[0].t for event in record.events) == (strategy == "qualitative")
 
 
-@pytest.mark.parametrize("scenario, settled_from", [("canonical", 4_770), ("crisis", None)])
+@pytest.mark.parametrize("scenario, settled_from", [("canonical", (4_780, 10)),
+                                                    ("crisis", (5_310, 20))])
 def test_settled_tail_starts_where_the_run_settles(scenario, settled_from, request):
-    # canonical.ini settles on a fixed point at t = 47.70; crisis.ini, on the
-    # qualitative rule table, cycles and never settles under the rule
+    # canonical.ini repeats a fixed point from t = 47.80, one control
+    # interval long; crisis.ini, on the qualitative rule table, repeats a
+    # 20-step R1 <-> R3 cycle from t = 53.10
     cfg = ScenarioConfig.from_file(request.getfixturevalue(f"{scenario}_scenario_path"))
     record = simulate(*cfg.build())
     assert record.settled_from == settled_from
-    if settled_from is not None:
-        assert record.samples[settled_from].t == 47.7
+    assert record.samples[settled_from[0]].t == settled_from[0] * cfg.simulation.dt
 
 
-def test_the_rule_table_never_settles(symmetric_params, logistic):
+def test_the_rule_table_counts_a_still_stock_apart(symmetric_params, logistic, monkeypatch):
     # a moratorium from t = 0 (a catch of 0.6 below the floor of 1 in a
     # stock read as declining) at the capacity holds the stock exactly
     # still, yet the qualitative controller counts growing intervals and
-    # lifts it; the fixed-point rule is for memoryless strategies alone, on
-    # both paths
+    # lifts it; the growth streak keeps those decisions apart, so the run is
+    # its stepped record, and on the lockstep path its own simulate
     floors = ViabilityBounds(stock_floor=1.0, harvest_floor=1.0)
     cfg = SimConfig(initial_stock=logistic.capacity, dt=0.01, horizon=2.0, control_interval=0.1,
                     settings=settings(Strategy.QUALITATIVE, initial_recommendation=0.0,
                                       initial_maturity=Maturity.MATURE, initial_trend=-1))
-    record = simulate(symmetric_params, logistic, floors, cfg)
-    assert record.settled_from is None
+    inputs = symmetric_params, logistic, floors, cfg
+    record = simulate(*inputs)
+    assert _record_bits(record) == _record_bits(_stepped(inputs, monkeypatch))
     switches = [(e.t, e.kind) for e in record.events
                 if e.kind in (EVENT_MORATORIUM_START, EVENT_MORATORIUM_END)]
     assert switches[:2] == [(0.0, EVENT_MORATORIUM_START), (0.5, EVENT_MORATORIUM_END)]
     assert {s.x for s in record.samples[:51]} == {logistic.capacity}
-    cells = [((), symmetric_params, logistic, floors, cfg)]
+    cells = [((), *inputs)]
     assert [_bits(cell) for cell in engine._lockstep(cells)] == _scalar(cells)
 
 
@@ -819,8 +849,9 @@ def test_library_refuses_what_the_cli_refuses(canonical_scenario_path, tmp_path,
 def test_lockstep_matches_simulate_on_settled_runs(canonical_scenario_path, crisis_scenario_path,
                                                    monkeypatch):
     # _lockstep computes every step, so it checks simulate on runs that
-    # settle on a fixed point or a cycle, where most steps are reused: the
-    # shipped scenarios at horizon 200, each with all three strategies
+    # repeat a fixed point or a cycle, whose records simulate builds mostly
+    # from one period: the shipped scenarios at horizon 200, each with all
+    # three strategies
     cells = []
     for path in (canonical_scenario_path, crisis_scenario_path):
         for strategy in Strategy:

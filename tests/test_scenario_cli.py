@@ -487,23 +487,27 @@ def sample_records(draw):
 @st.composite
 def settled_records(draw):
     """Samples as :func:`sample_records` draws them, maybe followed by a
-    settled run's constant tail: one sample, from the draw or holding -0.0
-    values, repeated with other t; and the index where that tail starts, or
-    None."""
+    repeating run's periodic tail: a window of one to four samples, from the
+    draw or holding -0.0 values, repeated with other t, maybe with a last
+    sample of its own, as a last sample off the record stride is; and the
+    tail's ``(first, period)``, or None."""
     samples = draw(sample_records())
     if not draw(st.booleans()):
         return samples, None
-    if samples and draw(st.booleans()):
-        settled_from = draw(st.integers(0, len(samples) - 1))
-        fixed = samples[settled_from]
-        samples = samples[:settled_from]
+    period = draw(st.integers(1, 4))
+    if len(samples) >= period and draw(st.booleans()):
+        window = samples[len(samples) - period:]
+        samples = samples[:len(samples) - period]
     else:
-        settled_from = len(samples)
-        fixed = Sample(0.0, -0.0, 0.0, -0.0, draw(st.sampled_from([0.0, -0.0, 0.25])), -0.0,
-                       draw(st.sampled_from(Regime)), draw(st.sampled_from(Region)),
-                       draw(st.sampled_from(Maturity)), draw(st.booleans()), draw(st.booleans()))
-    times = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
-    return samples + [fixed._replace(t=t) for t in times], settled_from
+        window = [Sample(0.0, -0.0, 0.0, -0.0, draw(st.sampled_from([0.0, -0.0, 0.25])), -0.0,
+                         draw(st.sampled_from(Regime)), draw(st.sampled_from(Region)),
+                         draw(st.sampled_from(Maturity)), draw(st.booleans()), draw(st.booleans()))
+                  for _ in range(period)]
+    times = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=12))
+    tail = [window[i % period]._replace(t=t) for i, t in enumerate(times)]
+    if draw(st.booleans()):
+        tail[-1] = draw(sample_records().filter(bool))[0]
+    return samples + tail, (len(samples), period)
 
 
 def _column(*values):
@@ -518,7 +522,9 @@ def _column(*values):
 @hypothesis.example(record=(_column(math.nan, _twin(math.nan), -math.nan, math.nan), None))
 @hypothesis.example(record=(_column(5e-324, _twin(5e-324), -5e-324, math.inf, -math.inf), None))
 @hypothesis.example(record=(_column(0.0, -0.0) + [s._replace(t=t) for s in _column(-0.0)
-                                                   for t in (0.5, 0.75, -0.0, 1e300)], 2))
+                                                   for t in (0.5, 0.75, -0.0, 1e300)], (2, 1)))
+@hypothesis.example(record=(_column(0.0) + [s._replace(t=0.25 * i) for i, s in enumerate(
+    _column(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.5))], (1, 2)))
 def test_trajectory_rows_equal_the_row_template(record):
     samples, settled_from = record
     assert list(cli.trajectory_rows(samples, settled_from)) == [_reference_line(s) for s in samples]
