@@ -52,39 +52,21 @@ def _fmt(value: float | str) -> str:
 _BOOL = ("false", "true")
 
 
-class _FloatText(dict):
-    """``"%.17g" % value`` of each float looked up, formatted on its first
-    lookup.  A zero is never stored: 0.0 and -0.0 are one key but print as
-    "0" and "-0".  A NaN finds its entry only as the same object (dicts test
-    identity before equality), which holds the same text."""
-
-    def __missing__(self, value: float) -> str:
-        text = "%.17g" % value
-        if value:
-            self[value] = text
-        return text
-
-
 def trajectory_rows(samples, settled_from=None):
     """The ``trajectory.csv`` line of each sample, as an iterator: the bytes of
     ``"%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s\\n"`` (with the
     enums' values and the flags as "true"/"false").
 
-    A repeating run returns to the same x, r, h, q1 and q2, so those are
-    formatted once per distinct value, through a table that lives for this
-    call only; t is unique per row and formatted per row.  With
-    ``settled_from = (first, period)`` (``TrajectoryRecord.settled_from``)
+    With ``settled_from = (first, period)`` (``TrajectoryRecord.settled_from``)
     the text after t of the rows ``first`` to ``first + period - 1`` is
     formatted once, each later row but the last takes it from the row
     ``period`` before and formats t alone, and the last row is formatted in
     full.  Enum members are read through ``_value_``, the attribute ``Enum``
     documents as holding the value; ``.value`` is a descriptor call per
     member."""
-    text = _FloatText()
-
     def lines(part):
         for t, x, r, h, q1, q2, regime, region, maturity, eco, econ in part:
-            yield (f"{t:.17g},{text[x]},{text[r]},{text[h]},{text[q1]},{text[q2]},"
+            yield (f"{t:.17g},{x:.17g},{r:.17g},{h:.17g},{q1:.17g},{q2:.17g},"
                    f"{regime._value_},{region._value_},{maturity._value_},"
                    f"{_BOOL[eco]},{_BOOL[econ]}\n")
 

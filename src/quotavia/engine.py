@@ -3,19 +3,12 @@
 The stock follows ``dx/dt = growth(x) - harvest(x, r)``.  The recommendation
 ``r`` is piecewise constant between controller decisions; the negotiated
 harvest reacts to the stock instantaneously, so the integrator re-solves the
-negotiation at every Runge-Kutta stage; the first stage reuses the solve at
-the stock itself that is recorded for the step's sample.  Violations of the
-viability floors, region crossings, moratorium transitions and extinction
-are recorded as time-stamped events.  A step that takes the stock to or
-below 0 sets it to exactly 0 and logs one extinction event; the stock then
-stays at 0, where the negotiation lands no catch.  A run whose state repeats
-exactly at a decision builds the rest of its record from one period
-(``simulate``).  ``sweep`` advances the cells that share a time grid
-together, as arrays, through the same ``_rk4``, recruitment law, floor
-formula and the repeat rule's fixed points; ichthyocentric and
-conservative cells decide as masks, and each qualitative cell steps its own
-``ControllerState`` through ``qualitative_step``.  Every cell runs
-``simulate``'s operations in its order, so its summary is its own run's.
+negotiation at every Runge-Kutta stage.  Violations of the viability floors,
+region crossings, moratorium transitions and extinction are recorded as
+time-stamped events.  A step that takes the stock to or below 0 sets it to
+exactly 0 and logs one extinction event; the stock then stays at 0, where
+the negotiation lands no catch.  ``simulate`` runs one trajectory, ``sweep``
+one per cell of a parameter grid.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ from .viability import (
     Maturity,
     Region,
     ViabilityBounds,
-    ViabilityVerdict,
     _binding_recommendation,
     check_viability_domain,
     classify_region,
@@ -271,10 +263,10 @@ def require_runnable(params: EconParams, rec: Recruitment, bounds: ViabilityBoun
 
 
 def _start(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
-           cfg: SimConfig) -> tuple[ControllerState, int, ViabilityVerdict | None]:
+           cfg: SimConfig) -> tuple[ControllerState, int]:
     """Controller state and stock trend at t = 0, after the decision taken
-    there, and the viability verdict: everything a run computes before its
-    first step, once :func:`require_runnable` has passed its inputs."""
+    there: what a run computes before its first step, once
+    :func:`require_runnable` has passed its inputs."""
     require_runnable(params, rec, bounds, cfg)
     settings = cfg.settings
     x = cfg.initial_stock
@@ -291,9 +283,7 @@ def _start(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     # decides already at t = 0, as the other strategies always do.
     if not qualitative or settings.initial_trend is not None:
         _decide(params, rec, bounds, state, x, trend)
-    # an unmanaged fishery has no threshold curves
-    verdict = None if params.unmanaged else check_viability_domain(params, rec, bounds)
-    return state, trend, verdict
+    return state, trend
 
 
 def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
@@ -329,7 +319,7 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     samples: list[Sample] = []
     x = cfg.initial_stock
     prev_control_x = x
-    state, trend, verdict = _start(params, rec, bounds, cfg)
+    state, trend = _start(params, rec, bounds, cfg)
     if state.moratorium:
         events.append(Event(0.0, EVENT_MORATORIUM_START))
 
@@ -432,6 +422,8 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
         events.extend(Event((i + shift) * dt, e.kind, dict(e.detail))
                       for shift in range(period, n_steps + 1 - last, period)
                       for i, e in recurring if i + shift <= n_steps)
+    # an unmanaged fishery has no threshold curves
+    verdict = None if params.unmanaged else check_viability_domain(params, rec, bounds)
     return TrajectoryRecord(samples=samples, events=events,
                             metadata={"viability_verdict": verdict}, settled_from=settled_from)
 
@@ -504,7 +496,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     live, states, trends = [], [], []
     for i, (values, params, rec, bounds, cfg) in enumerate(cells):
         try:
-            state, trend, _ = _start(params, rec, bounds, cfg)
+            state, trend = _start(params, rec, bounds, cfg)
         except Exception as exc:  # recorded in-grid, sweep continues
             results[i] = _failed(values, exc)
             continue

@@ -812,6 +812,21 @@ def test_lockstep_reads_recruitment_and_the_floor_formula_as_columns(monkeypatch
     assert calls == {("rate", live, live, live): 4 * 300 + 30, ("floor", live, live, live): 30}
 
 
+def test_only_simulate_computes_the_viability_verdict(monkeypatch):
+    # the verdict is kept in a TrajectoryRecord's metadata; a lockstep cell
+    # keeps its summary only, so the lockstep never computes one
+    cells = (_special_cells() * 4)[:engine._LOCKSTEP_MIN_CELLS]
+    expected = _scalar(cells)
+    check, calls = engine.check_viability_domain, []
+    monkeypatch.setattr(engine, "check_viability_domain",
+                        lambda *args: calls.append(args) or check(*args))
+    assert [_bits(cell) for cell in engine._lockstep(cells)] == expected
+    assert calls == []
+    record = simulate(*cells[0][1:])
+    assert len(calls) == 1
+    assert record.metadata["viability_verdict"] == check(*cells[0][1:4])
+
+
 def test_library_refuses_what_the_cli_refuses(canonical_scenario_path, tmp_path, capsys):
     # one place for a run's preconditions: the CLI's refusal of each input,
     # with its config error text, is what simulate raises and what both
