@@ -83,7 +83,11 @@ Measured, one process, one thread:
   prices in 5-30, 8 stocks in 0.05-4) at horizon 40, built beforehand,
   per cell and step of the time grid (4,000 steps); every cell settles on
   a fixed point by step 1,320, after which the lockstep adds the settled
-  harvests without stepping, so this times the ensemble's settled finish.
+  harvests without stepping, so this times the ensemble's settled finish;
+* ``cold_check_s`` and ``cold_simulate_s``: ``python -m quotavia check``
+  and ``simulate`` on canonical.ini in a fresh interpreter, with
+  ``PYTHONPATH`` at the measured checkout's ``src/``, from start to exit:
+  what a user waits for, the interpreter's start and every import included.
 
 This is a tool for before/after numbers, not a test; nothing in it checks
 the outputs (``perfbench/run.py`` does).
@@ -105,6 +109,7 @@ import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -192,6 +197,14 @@ def sweep_axes(root: str, draws: int = workloads.SWEEP_DRAWS,
     sweep.setup()
     *axes, _ = sweep.axes.split(",")    # the horizon is the last axis
     return ",".join([*axes, f"simulation.horizon={horizon!r}:{horizon!r}:1"])
+
+
+def cold(root: str, argv: list[str]):
+    """A call that runs ``python -m quotavia`` with ``argv`` in a fresh
+    interpreter on ``root``'s sources."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    command = [sys.executable, "-m", "quotavia", *argv]
+    return lambda: subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def prebuilt_sweep(cli, cfg, axes: str):
@@ -326,6 +339,9 @@ def measure(root: str, repeat: int) -> dict:
              lambda: engine.sweep(long_build, long_axes)),
             ("settled_sweep_ns_per_cell_step", "ns", settled_steps,
              lambda: engine.sweep(settled_build, settled_axes)),
+            ("cold_check_s", "s", 1, cold(root, ["check", "--config", canonical])),
+            ("cold_simulate_s", "s", 1,
+             cold(root, ["simulate", "--config", canonical, "--out", out])),
         ]
         prepare = {"decision_ns_per_call": copy_states}
         for name, *_, call in layers:   # one untimed round: lazy imports, caches

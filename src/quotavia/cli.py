@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .econ import Regime
 from .engine import (_require_deviation_costs, _require_weighted, require_runnable, simulate,
                      summarize, sweep)
@@ -159,6 +157,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _parse_grid(spec: str):
+    import numpy as np
     parts = spec.split(":")
     if len(parts) != 6:
         raise _UsageError("--grid expects XMIN:XMAX:RMIN:RMAX:NX:NR")
@@ -192,6 +191,7 @@ def phase_rows(params, rec, bounds, xs: list[float], rs: list[float]):
     such point of the row, so its text is made once per row; a
     ``SHUTDOWN_UNPROFITABLE`` h is the kernel's +0.0, as ``phase_blocks``
     refuses negative and NaN recommendations."""
+    import numpy as np
     r_text = ["%.17g," % r for r in rs]
     # a point's regime and sign as one index, 3 * regime + sign + 1
     tags = [f"{regime._value_},{sign}" for regime in Regime for sign in (-1, 0, 1)]
@@ -240,6 +240,7 @@ def _cmd_phase(args) -> int:
 
 
 def _parse_axes(spec: str) -> list[tuple[str, list]]:
+    import numpy as np
     axes = []
     cells = 1   # of the axes so far, checked before linspace allocates the next
     if not spec:

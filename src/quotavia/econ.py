@@ -18,9 +18,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BOUNDARY_TOL",
@@ -312,6 +313,7 @@ def _free_catch(params: EconParams, X: np.ndarray):
     """Each group's gain and free optimum at the stocks ``X``, and the free
     catch, in the operation order of :func:`_nash_point`: a negative or NaN
     optimum adds 0, so the free catch is never NaN."""
+    import numpy as np
     px = params.price * X
     gain1, gain2 = px - params.alpha_1, px - params.alpha_2
     opt1, opt2 = gain1 / params.two_beta_1, gain2 / params.two_beta_2
@@ -343,6 +345,7 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
     it, and the single-group branches run only for a block that has a point
     in neither of those two.
     """
+    import numpy as np
     pointwise = getattr(params.price, "ndim", 0) == 1   # not np.ndim: 1.7 us on a float
     X, R = np.asarray(x_values, dtype=float), np.asarray(r_values, dtype=float)
     if not pointwise:
@@ -432,6 +435,7 @@ def regime_codes(params: EconParams, x_values, r_values, h) -> np.ndarray:
     is ``BINDING`` if ``h`` is above ``BOUNDARY_TOL``, else
     ``SHUTDOWN_RESTRICTED`` if its free catch is, else ``SHUTDOWN_UNPROFITABLE``.
     """
+    import numpy as np
     X = np.asarray(x_values, dtype=float).reshape(-1, 1)
     R = np.asarray(r_values, dtype=float).reshape(1, -1)
     free = _free_catch(params, X)[-1]

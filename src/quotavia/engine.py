@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .control import (
     CONSERVATIVE,
     ICHTHYOCENTRIC,
@@ -492,6 +490,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
     rule with P = one control interval, found an interval early: a
     memoryless decision reads the stock alone.
     """
+    import numpy as np
     results: list[CellResult | None] = [None] * len(cells)
     live, states, trends = [], [], []
     for i, (values, params, rec, bounds, cfg) in enumerate(cells):

@@ -15,8 +15,6 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .econ import EconParams, profit
 
 __all__ = ["OracleResult", "best_response", "equilibrium"]
@@ -77,6 +75,7 @@ def best_response(params: EconParams, group: int, q_other: float, x: float,
     Coarse grid scan to bracket the maximum of the concave profit, then
     golden-section refinement inside the bracket.
     """
+    import numpy as np
     if group not in (1, 2):
         raise ValueError("group must be 1 or 2")
     if not x > 0.0:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .econ import (
     EconParams,
@@ -143,6 +145,7 @@ def viability_existence_search(params: EconParams, rec: Recruitment,
     when the feasible window is narrower than the grid); at sampled stocks
     above the floor, only the harvest floor must be reachable.
     """
+    import numpy as np
     x_lo, h_lo = bounds.stock_floor, bounds.harvest_floor
     r_top = 3.0 * max(unmanaged_harvest(params, x_lo), 1.0)
     r_grid = np.linspace(0.0, r_top, _R_POINTS)
@@ -177,6 +180,7 @@ def _suite(name: str, seed: int, instances: int, trial) -> SuiteReport:
     until ``instances`` draws count and reports the failures and the largest
     error among them.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     accepted = 0
@@ -319,6 +323,7 @@ def monotonicity_suite(seed: int = DEFAULT_SEED, instances: int = 400) -> SuiteR
     """Slope signs, the binding-observability equivalence and regime-boundary
     continuity on random parameter draws."""
     def trial(rng):
+        import numpy as np
         params = _random_params(rng)
         h_lo = _log_uniform(rng, 0.05, 2.0)
         bounds = ViabilityBounds(stock_floor=1.0, harvest_floor=h_lo)

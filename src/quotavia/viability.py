@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .econ import (
     EconParams,
@@ -285,6 +286,7 @@ def region_codes(trend_sign: np.ndarray, h: np.ndarray, r: np.ndarray,
     """:func:`classify_region` of many cells at once, each cell's region as
     its index in ``Region`` (0 for R0 up to 4 for R4), from the same
     comparisons."""
+    import numpy as np
     codes = np.where(h >= harvest_floor, 1, 2)            # R1 or R2
     codes += np.where(trend_sign >= 0, 0, 2)              # R3 or R4
     codes[~(h + _SIGN_TOL >= r)] = 0
@@ -356,6 +358,7 @@ def phase_blocks(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     Overflow at extreme stocks gives inf or NaN, as in the scalar
     functions, without a warning.
     """
+    import numpy as np
     X = np.asarray(xs, dtype=float)
     R = np.asarray(rs, dtype=float)
     _require_recommendation(R.min(initial=0.0))     # a NaN among rs is the min

@@ -1,12 +1,17 @@
-"""Dead imports and stale exports in the package sources."""
+"""Dead imports, stale exports and eager numpy imports in the package sources."""
 
 import ast
+import hashlib
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import quotavia
+from test_scenario_cli import SIMULATE_DIGESTS
 
 PACKAGE = Path(quotavia.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
@@ -52,3 +57,50 @@ def test_package_reexports_resolve():
             module = importlib.import_module(f"quotavia.{node.module}")
             for alias in node.names:
                 assert hasattr(module, alias.name), f"quotavia.{node.module}.{alias.name}"
+
+
+def _eager_imports(nodes):
+    """Import statements that run when their module is imported: all but
+    those in a function body or under ``if TYPE_CHECKING:``."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            yield from _eager_imports(node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        yield from _eager_imports(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("stem", ["__init__", *MODULES])
+def test_numpy_is_imported_where_it_is_used(stem):
+    """``check`` and ``simulate`` run no numpy operation, so no module loads
+    numpy on import; the functions that call it import it themselves."""
+    eager = {}
+    for node in _eager_imports(_tree(stem).body):
+        modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                   else [node.module or ""] if node.level == 0 else [])
+        eager.update((name, node.lineno) for name in modules if name.split(".")[0] == "numpy")
+    assert eager == {}, f"{stem}.py imports numpy at module level"
+
+
+_SCALAR_COMMANDS = """
+import sys
+from quotavia.cli import main
+config, out = sys.argv[1:]
+codes = [main(["check", "--config", config]), main(["simulate", "--config", config, "--out", out])]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_check_and_simulate_run_without_numpy(tmp_path, canonical_scenario_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _SCALAR_COMMANDS,
+                           os.path.abspath(canonical_scenario_path), str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == SIMULATE_DIGESTS["canonical"]["trajectory.csv"]
