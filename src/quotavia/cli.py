@@ -25,10 +25,8 @@ from .viability import LEVELS_BRACKET, Region, check_viability_domain, critical_
 __all__ = ["main"]
 
 _MAX_SWEEP_CELLS = 10 ** 6
-# Lines per write of _write_csv.  Writing a 200x200 phase grid's 40,000 lines
-# took 9.5 ms at 256 a write against 13 ms one at a time (medians of 150 on a
-# 2-vCPU VM).  At 1,024 the whole phase command was no faster and its peak
-# memory 0.4 MB higher; at 128 it was 4-7% slower.
+# Lines per write of _write_csv, which streams its rows: 40,000 phase lines took 13 ms
+# one at a time, 9.5 ms at 256; at 1,024 phase was no faster and held 0.4 MB more.
 _WRITE_LINES = 256
 
 
@@ -80,8 +78,7 @@ def trajectory_rows(samples, settled_from=None):
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write the header and ``rows``, finished lines that end in newlines,
-    ``_WRITE_LINES`` lines per write: one write per line costs more than
-    the join, and a block at a time keeps ``rows`` streaming."""
+    ``_WRITE_LINES`` lines per write."""
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
@@ -110,12 +107,19 @@ def _load(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_file(path)
 
 
-def _cmd_check(args) -> int:
-    cfg = _load(args.config)
-    _require_deviation_costs(cfg.econ, "check")
-    cap = cfg.recruitment.capacity   # critical_levels brackets from LEVELS_BRACKET of it
+def _load_with_levels(path: str, command: str) -> ScenarioConfig:
+    """The scenario at ``path``, refused where :func:`critical_levels`, which
+    brackets from ``LEVELS_BRACKET`` of the capacity, is undefined."""
+    cfg = _load(path)
+    _require_deviation_costs(cfg.econ, command)
+    cap = cfg.recruitment.capacity
     _require_weighted(cfg.econ, cap * LEVELS_BRACKET,
                       f"[recruitment] capacity: {cap!r} * {LEVELS_BRACKET!r} =")
+    return cfg
+
+
+def _cmd_check(args) -> int:
+    cfg = _load_with_levels(args.config, "check")
     _require_weighted(cfg.econ, cfg.bounds.stock_floor, "[bounds] stock_floor:")
     verdict = check_viability_domain(cfg.econ, cfg.recruitment, cfg.bounds)
     ok = verdict.conditions
@@ -213,11 +217,7 @@ def phase_rows(params, rec, bounds, xs: list[float], rs: list[float]):
 
 
 def _cmd_phase(args) -> int:
-    cfg = _load(args.config)
-    _require_deviation_costs(cfg.econ, "phase")
-    cap = cfg.recruitment.capacity   # critical_levels brackets from LEVELS_BRACKET of it
-    _require_weighted(cfg.econ, cap * LEVELS_BRACKET,
-                      f"[recruitment] capacity: {cap!r} * {LEVELS_BRACKET!r} =")
+    cfg = _load_with_levels(args.config, "phase")
     xs, rs = _parse_grid(args.grid)
     _require_weighted(cfg.econ, xs[0], "--grid: XMIN", _UsageError)
     _make_output_dir(args.out)

@@ -77,11 +77,10 @@ class EconParams:
     ``kappa_i`` weighs the quadratic cost a group incurs when the agreed
     total exceeds the recommendation; ``kappa_1 = kappa_2 = 0`` encodes a
     fishery without management.  ``price`` is the exogenous market price.
-    Derived once, not settable and ignored by ``==``, ``hash`` and ``repr``:
-    ``weight = beta_1 * kappa_2 + beta_2 * kappa_1`` (the deviation weight),
-    ``beta_product = beta_1 * beta_2``, ``cost_term = 0.5 * (alpha_1 * beta_2
-    + alpha_2 * beta_1)``, ``price_term = 0.5 * (beta_1 + beta_2) * price``
-    and ``two_beta_i = 2.0 * beta_i``, group ``i``'s free-optimum divisor.
+    The derived fields ``weight`` (the deviation weight), ``beta_product``,
+    ``cost_term``, ``price_term`` and ``two_beta_i`` are computed once, on
+    construction; they are not settable and ``==``, ``hash`` and ``repr``
+    ignore them.
     """
 
     alpha_1: float
@@ -303,9 +302,8 @@ def harvest_level(params: EconParams, x: float, r: float) -> float:
     return _nash_point(params, x, r)[2]
 
 
-# Grid points per row block of harvest_curve.  The block's temporaries (two
-# float and three bool arrays, plus its rows of the result) take about
-# 450 KB, well inside a core's L2 cache.
+# Grid points per row block of harvest_curve: a larger grid runs a few rows at a
+# time, in buffers of one block, whose temporaries take about 450 KB, inside L2.
 _BLOCK_POINTS = 1 << 14
 
 
@@ -334,16 +332,7 @@ def harvest_curve(params: EconParams, x_values, r_values) -> np.ndarray:
     Runs the same branches with the same operations, so every point equals
     the scalar solve bit for bit.  The scalar form stays for point-by-point
     loops, where one numpy call per point would cost tens of times more
-    than the solve itself.
-
-    The terms that depend on ``x`` (and the parameters) alone are computed
-    once, as columns.  Paired points, and a grid of at most ``_BLOCK_POINTS``
-    points or one row, are one block that reads them whole, numpy allocating
-    its temporaries.  A larger grid runs a few rows at a time, each block's
-    temporaries in buffers of one block, so that they stay in cache.  Each
-    block's interior harvest comes first, the non-deviating points overwrite
-    it, and the single-group branches run only for a block that has a point
-    in neither of those two.
+    than the solve itself.  Grids run in blocks of ``_BLOCK_POINTS``.
     """
     import numpy as np
     pointwise = getattr(params.price, "ndim", 0) == 1   # not np.ndim: 1.7 us on a float

@@ -63,37 +63,23 @@ __all__ = [
     "sweep",
 ]
 
-# Smallest group of cells that a sweep advances in lockstep; smaller ones run
-# simulate cell by cell: a lockstep step costs 130-180 us up to a few hundred
-# cells, a scalar step 2.3-2.8 us per cell.  On random draws of the benchmark's
-# sweep cells (seeds 1, 2; 200 steps; min of 15; 2 vCPUs, Python 3.11, numpy
-# 2.4) scalar runs took 0.89-0.98 of the lockstep time at 56 cells, 0.97-1.12
-# at 60, 1.07-1.17 at 64, 1.30-1.39 at 80 and 2.8-3.0 at 192.
+# Smallest group of cells a sweep advances in lockstep: a lockstep step costs about
+# 150 us, a scalar one 2.3-2.8 us per cell, and at 60 cells both take about as long.
 _LOCKSTEP_MIN_CELLS = 60
 
 # Cells a sweep builds, and runs, at a time: what it holds, whatever its size.
 _SWEEP_BATCH = 4096
 
-# Decision states one simulate run keeps to find a repeat; the dict is
-# emptied when it holds more.  The repeats seen are short (canonical.ini's
-# fixed point, one control interval; crisis.ini's 20-step cycle), so a bound
-# far above them delays none, and a run that never repeats holds at most
-# this many.  A state takes about 200 bytes (the dict slot, the key tuple
-# and the float it alone keeps; measured with tracemalloc on canonical.ini
-# at horizon 40.95 with a decision every step, which never repeats), so the
-# dict stays near 0.8 MB, 1.1 MB while it last resizes.  At 0 no state is
-# kept and every run steps to its end.
+# Decision states a simulate run keeps to find a repeat: far above the shipped
+# periods (one and two control intervals); at about 200 bytes a state, 0.8 MB.
 _REPEAT_KEYS = 4096
 
 # Deadband below which a floor comparison does not flip the viability flag;
 # keeps an exactly-on-the-floor trajectory from flickering events.
 _VIABILITY_TOL = 1e-9
 
-# Step budget of one simulation, horizon / dt: 50 times the 20,000 steps of
-# the shipped scenarios.  A run that long takes several seconds, and at
-# record_stride 1 its samples take about 265 MB (measured on canonical.ini);
-# a larger horizon / dt is refused when the configuration is built, before
-# anything is allocated.
+# Step budget of one simulation, horizon / dt: 50 times the shipped scenarios.  At
+# record_stride 1 a run that long keeps about 265 MB of samples.
 MAX_STEPS = 1_000_000
 
 EVENT_VIOLATION = "ViabilityViolation"
@@ -321,14 +307,6 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
     if state.moratorium:
         events.append(Event(0.0, EVENT_MORATORIUM_START))
 
-    def control_update(t: float) -> None:
-        was_moratorium = state.moratorium
-        _decide(params, rec, bounds, state, x, trend)
-        if state.moratorium and not was_moratorium:
-            events.append(Event(t, EVENT_MORATORIUM_START))
-        elif was_moratorium and not state.moratorium:
-            events.append(Event(t, EVENT_MORATORIUM_END))
-
     # Recruitment.rate spelled out: the same operations, without a method
     # call per RK stage.
     growth, capacity = rec.growth, rec.capacity
@@ -366,8 +344,10 @@ def simulate(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                 last, end, first_window_event = k, 2 * k - start - 1, len(events)
             previous, prev_control_x = prev_control_x, x
             trend = -1 if x - previous <= -deadband else 1
-            control_update(t)
-            r, idle = state.recommendation, state.moratorium
+            _decide(params, rec, bounds, state, x, trend)
+            r, was_idle, idle = state.recommendation, idle, state.moratorium
+            if idle != was_idle:
+                events.append(Event(t, EVENT_MORATORIUM_START if idle else EVENT_MORATORIUM_END))
 
         q1, q2, h, regime = _nash_point(params, x, r)
         if idle:
@@ -464,31 +444,20 @@ def _simulated(values: tuple, params: EconParams, rec: Recruitment,
 
 def _lockstep(cells: list[tuple]) -> list[CellResult]:
     """:func:`_simulated` of every cell ``(values, params, rec, bounds,
-    cfg)``, the cells advanced together as one ensemble.
+    cfg)``, the cells, which share one time grid, advanced as one ensemble.
 
-    The cells share ``dt``, the step count, the control interval and the
-    record stride.  Each cell is one entry of 1-D arrays: its parameters (a
-    column per field of ``EconParams``, ``Recruitment`` and
-    ``ViabilityBounds``, read as floats are read), stock, recommendation and
-    moratorium flag.  Each step runs ``simulate``'s step with the same
-    operations in the same order: one ``harvest_curve`` call at the stock
-    and one per stage of the same ``_rk4`` (one more at a qualitative
-    decision), ichthyocentric and conservative decisions as masks on
-    ``Recruitment.rate`` and the floor formula, each qualitative cell's
-    ``ControllerState`` stepped through ``qualitative_step``, the first
-    floor violation read from the flag arrays, and each recorded harvest
-    added to the cell's running total in ``mean_harvest``'s order.  So every
-    cell equals its own ``simulate`` bit for bit; a refused one fails in
-    ``_start`` as there.  Where the floor formula is not finite, that cell's
-    decision runs the scalar code, and an exception it raises becomes the
-    cell's error result; a cell is live while its result is None.
+    Each cell is one entry of 1-D arrays: a column per field of its
+    parameter dataclasses, its stock, recommendation and moratorium flag.
+    Every cell's result equals its own :func:`_simulated` bit for bit.
+    Where the floor formula is not finite, that cell's decision runs the
+    scalar code, and an exception it raises becomes the cell's error
+    result; a cell is live while ``results[i] is None``.
 
     An ensemble without qualitative cells stops after the first decision at
-    which every cell, failed ones included, is at the stock of the previous
-    decision and the step returns it, and adds each cell's fixed harvest
-    once per sample left, left to right.  That is ``simulate``'s repeat
-    rule with P = one control interval, found an interval early: a
-    memoryless decision reads the stock alone.
+    which every cell, failed ones included, is at the previous decision's
+    stock and the step returns it, and adds each cell's harvest once per
+    sample left: the repeat rule of :func:`simulate` with P = one control
+    interval, since a memoryless decision reads the stock alone.
     """
     import numpy as np
     results: list[CellResult | None] = [None] * len(cells)
@@ -608,8 +577,7 @@ def _lockstep(cells: list[tuple]) -> list[CellResult]:
 
 
 def _run_group(cells: list[tuple]) -> list[CellResult]:
-    """:func:`_simulated` of cells that share a time grid: in lockstep, or
-    one by one below the crossover."""
+    """:func:`_simulated` of each of ``cells``, which share a time grid."""
     if len(cells) < _LOCKSTEP_MIN_CELLS:
         return [_simulated(*cell) for cell in cells]
     return _lockstep(cells)
@@ -619,17 +587,13 @@ def sweep(build: Callable[[dict], tuple[EconParams, Recruitment, ViabilityBounds
           axes: list[tuple[str, list]]) -> list[CellResult]:
     """One simulation per cell of the cartesian axis grid.
 
-    ``build`` maps a field->value override dict to simulation inputs.
-    Per-cell failures are recorded in the grid instead of aborting it;
-    results are ordered by row-major cell index, so the sweep is
-    deterministic and any cell reproduces standalone.
-
-    Cells are built ``_SWEEP_BATCH`` at a time and grouped by time grid
-    (``dt``, :attr:`SimConfig.time_grid` and record stride).  A group of
-    at least ``_LOCKSTEP_MIN_CELLS`` cells advances in lockstep, as one
-    ensemble on the array Nash kernel (:func:`_lockstep`); a smaller group
-    runs ``simulate`` cell by cell.  Both give every cell the summary, or the
-    ``"<type>: <message>"`` error, of its own ``simulate``, bit for bit.
+    ``build`` maps a field->value override dict to simulation inputs.  A
+    cell that fails records its ``"<type>: <message>"`` error in the grid
+    instead of aborting it; results are ordered by row-major cell index,
+    and each equals its cell's standalone run bit for bit.  Cells are built
+    ``_SWEEP_BATCH`` at a time and grouped by time grid; a group of at
+    least ``_LOCKSTEP_MIN_CELLS`` runs in :func:`_lockstep`, a smaller one
+    cell by cell.
     """
     fields = [name for name, _ in axes]
     combos = itertools.product(*(values for _, values in axes))

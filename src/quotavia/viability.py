@@ -345,18 +345,15 @@ class PhaseBlock(NamedTuple):
 def phase_blocks(params: EconParams, rec: Recruitment, bounds: ViabilityBounds,
                  xs, rs):
     """Yield the phase grid over the stocks ``xs`` and recommendations ``rs``
-    in :class:`PhaseBlock` values, a few stocks at a time.
+    as :class:`PhaseBlock` values of about ``_PHASE_BLOCK_POINTS`` points,
+    and at least one stock's row, so memory stays bounded.
 
-    A block holds about ``_PHASE_BLOCK_POINTS`` points, and at least one
-    stock's row, so memory stays bounded by the larger of the two.  The
-    per-stock values come from the scalar functions, with their input
+    The per-stock values come from the scalar functions, with their input
     checks: a non-positive stock, a negative recommendation or a fishery
-    without deviation costs raises ``ValueError``.  The harvest and its
-    regime come from the array kernel and :func:`econ.regime_codes`, and so
-    equal the scalar solve's; the sign is 0 when recruitment and harvest
-    balance within tolerance, and the region is :func:`classify_region`'s.
-    Overflow at extreme stocks gives inf or NaN, as in the scalar
-    functions, without a warning.
+    without deviation costs raises ``ValueError``.  The harvest, its regime
+    and region equal the scalar solve's and :func:`classify_region`'s; the
+    sign is 0 where recruitment and harvest balance within tolerance.
+    Overflow at extreme stocks gives inf or NaN without a warning.
     """
     import numpy as np
     X = np.asarray(xs, dtype=float)

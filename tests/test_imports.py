@@ -1,9 +1,12 @@
-"""Dead imports, stale exports and eager numpy imports in the package sources."""
+"""Dead imports, stale exports and eager numpy imports in the package sources,
+and stale names in README."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +107,37 @@ def test_check_and_simulate_run_without_numpy(tmp_path, canonical_scenario_path)
     assert proc.stdout.splitlines()[-1] == "[0, 0] False"
     digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == SIMULATE_DIGESTS["canonical"]["trajectory.csv"]
+
+
+README = PACKAGE.parents[1] / "README.md"
+
+
+def _resolves(dotted: str) -> bool | None:
+    """Whether a dotted name resolves in the package: a module attribute, a
+    class attribute or a dataclass field.  None when its first part is
+    neither the package, one of its modules nor a class it exports."""
+    first, *rest = dotted.split(".")
+    if first == "quotavia":
+        obj = quotavia
+    elif first in LIBRARY:
+        obj = importlib.import_module(f"quotavia.{first}")
+    elif isinstance(getattr(quotavia, first, None), type):
+        obj = getattr(quotavia, first)
+    else:
+        return None
+    for i, part in enumerate(rest):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:   # a field without a class attribute, such as EconParams.weight
+            return (i == len(rest) - 1 and dataclasses.is_dataclass(obj)
+                    and part in {f.name for f in dataclasses.fields(obj)})
+    return True
+
+
+def test_readme_names_resolve():
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    resolved = {span: _resolves(span) for span in spans
+                if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", span)}
+    assert any(resolved.values()) and [name for name, ok in resolved.items() if ok is False] == []
+    bench = [span for span in spans if re.fullmatch(r"BENCH_\w+\.json", span)]
+    assert bench and [name for name in bench if not (README.parent / name).is_file()] == []
